@@ -11,10 +11,12 @@ line of stdout is one JSON object ``{"correct", "attempted", "failed",
 
 - ``setup_s``: ``ray.init`` plus ``put_region_table`` on an empty trie cache
   (the ``put`` is sampled three times, its median is added);
-- ``cold_job_s``: the session's first job, trie and index caches empty;
+- ``cold_job_s``: the median wall time of the workload's cold jobs, each run
+  with empty trie and index caches, after an untimed warm-up job;
 - ``turns_per_s``: input turns over the median warm-job wall time;
-- ``peak_rss_mb``: peak RSS summed over this process and its Ray descendants
-  while the jobs run.
+- ``peak_rss_mb``: the median over the timed jobs of each job's peak RSS,
+  summed over this process and its Ray descendants, idle pooled workers
+  left out.
 
 ``--trace 1`` instead reports the per-layer metrics of ``layers.py``.
 """
@@ -22,6 +24,7 @@ line of stdout is one JSON object ``{"correct", "attempted", "failed",
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -61,13 +64,29 @@ def parse_args(argv):
 class Jobs:
     """Runs pipeline jobs under a deadline and checks each against the oracle."""
 
-    def __init__(self, expected: set, t_start: float):
-        self.expected = expected
+    def __init__(self, t_start: float, corrupt: bool):
         self.t_start = t_start
+        self.corrupt = corrupt  # drop one oracle triple: every job must fail
+        self.oracle = None
+        self._expected = None
         self.attempted = 0
         self.failed = 0
         self.broken = False  # a job hung; the session cannot be trusted
         self.walls: list[tuple[str, float]] = []
+
+    def expect(self, oracle) -> None:
+        """Check jobs against ``oracle``, whose process may still be running."""
+        self.oracle = oracle
+
+    def expected(self) -> set:
+        """The oracle's triples; waits for its process the first time."""
+        if self._expected is None:
+            self._expected = self.oracle.triples()
+            if self.corrupt:
+                self._expected = set(sorted(self._expected)[1:])
+            log(f"{len(self._expected)} oracle triples "
+                f"(cache {'hit' if self.oracle.hit else 'miss'})")
+        return self._expected
 
     def remaining_s(self) -> float:
         return RUN_BUDGET_S - (time.perf_counter() - self.t_start)
@@ -99,11 +118,11 @@ class Jobs:
         if result is None:
             self.failed += 1
         else:
-            got = triple_set(pq.read_table(result["triples"]))
-            if got != self.expected:
+            got, expected = triple_set(pq.read_table(result["triples"])), self.expected()
+            if got != expected:
                 self.failed += 1
-                log(label, f"FAILED: {len(got - self.expected)} extra, "
-                    f"{len(self.expected - got)} missing triples vs the oracle")
+                log(label, f"FAILED: {len(got - expected)} extra, "
+                    f"{len(expected - got)} missing triples vs the oracle")
         log(f"{label}: {wall:.3f} s")
         return wall, result
 
@@ -132,41 +151,60 @@ def measure_setup(session, region_path: str) -> float:
     return init_s + statistics.median(puts)
 
 
-def end_to_end(spec, args, session, jobs: Jobs, data_dir: str, region_path: str) -> dict:
+def end_to_end(spec, args, session, jobs: Jobs, data_dir: str, region_path: str,
+               start_oracle) -> dict:
     from session import RssSampler
 
     setup_s = measure_setup(session, region_path)
-    run = job_fn(spec.mode, data_dir, os.path.join(session.run_dir, "out"))
-    session.clear_caches()
-    log("cold caches:", session.cache_state())
-    with RssSampler() as rss:
-        t_window = time.perf_counter()
-        cold_s, _ = jobs.run("cold job", run)
-        log("after cold job:", session.cache_state())
-        warm: list[float] = []
-        while not jobs.broken:
-            typical = statistics.median(warm) if warm else cold_s
-            elapsed = time.perf_counter() - t_window
-            if len(warm) >= spec.min_warm_jobs and elapsed + typical > args.seconds:
+    run = job_fn("streaming", data_dir, os.path.join(session.run_dir, "out"))
+    # untimed, while the oracle runs: one job starts Ray Data's worker
+    # processes, their imports and the object store's memory, so every cold
+    # job below pays the same costs
+    jobs.expect(start_oracle())
+    jobs.run("warm-up job (untimed)", run)
+    jobs.expected()  # even after a failed warm-up, no timed job overlaps the oracle
+    walls = {"C": [], "W": []}
+    peaks = []
+    t_window = time.perf_counter()
+    # the workload's schedule, then warm jobs while --seconds allows
+    for i, kind in enumerate(itertools.chain(spec.schedule, itertools.repeat("W"))):
+        if jobs.broken:
+            break
+        if i >= len(spec.schedule):
+            typical = statistics.median(walls["W"])
+            if time.perf_counter() - t_window + typical > args.seconds:
                 break
             if typical + 5 > jobs.remaining_s():
                 break
-            warm.append(jobs.run(f"warm job {len(warm) + 1}", run)[0])
-    warm_s = statistics.median(warm) if warm else cold_s
+        if kind == "C":
+            session.clear_caches()
+            log("cold caches:", session.cache_state())
+        label = f"{'cold' if kind == 'C' else 'warm'} job {len(walls[kind]) + 1}"
+        with RssSampler() as rss:
+            walls[kind].append(jobs.run(label, run)[0])
+        peaks.append(rss.peak_bytes)
+    # a hung warm-up leaves no measured job; the run already counts it failed
+    fallback = walls["C"] or walls["W"] or [jobs.walls[-1][1]]
+    cold_s = statistics.median(walls["C"] or fallback)
+    warm_s = statistics.median(walls["W"] or fallback)
     return {
         "turns_per_s": {"value": spec.n_turns / warm_s, "unit": "1/s"},
         "cold_job_s": {"value": cold_s, "unit": "s"},
         "setup_s": {"value": setup_s, "unit": "s"},
-        "peak_rss_mb": {"value": rss.peak_bytes / 2**20, "unit": "MiB"},
+        "peak_rss_mb": {"value": statistics.median(peaks or [RssSampler().sample()]) / 2**20,
+                        "unit": "MiB"},
     }
 
 
-def per_layer(spec, session, jobs: Jobs, data_dir: str, region_path: str) -> dict:
+def per_layer(spec, session, jobs: Jobs, data_dir: str, region_path: str,
+              start_oracle) -> dict:
     """Every layer on this workload's input: kernel and stages in-process,
     then a streaming job traced through ``ds.stats()``, the sharded index
     build, and a checkpointed job with its resumes."""
     import layers
 
+    jobs.expect(start_oracle())
+    jobs.expected()  # the oracle's process must not overlap a measurement
     m, artifacts = layers.kernel_and_stages(data_dir, region_path, session.run_dir)
     session.start_ray()
 
@@ -212,7 +250,7 @@ def per_layer(spec, session, jobs: Jobs, data_dir: str, region_path: str) -> dic
 
 def run(args) -> tuple[dict, bool]:
     from session import Session
-    from workloads import WORKLOADS, check_path, expected_triples, make_inputs
+    from workloads import WORKLOADS, Oracle, check_path, make_inputs
 
     from address_semantic_search_ray.pipelines.oracle import default_region_dict_path
 
@@ -223,18 +261,17 @@ def run(args) -> tuple[dict, bool]:
     try:
         data_dir = os.path.join(run_dir, "data")
         make_inputs(spec, args.seed, data_dir)
-        path = check_path(spec, data_dir)
-        expected, hit = expected_triples(spec, args.seed, data_dir,
-                                         os.path.join(ROOT, ".perfbench_cache"), ROOT)
-        if args.corrupt_expected:
-            expected = set(sorted(expected)[1:])
-        log(f"{spec}: {path}, {len(expected)} oracle triples (cache {'hit' if hit else 'miss'})")
-        jobs = Jobs(expected, t_start)
+        log(f"{spec}: {check_path(spec, data_dir)}")
+        jobs = Jobs(t_start, args.corrupt_expected)
+
+        def start_oracle():
+            return Oracle(spec, args.seed, data_dir, os.path.join(ROOT, ".perfbench_cache"), ROOT)
+
         region_path = default_region_dict_path()
         if args.trace:
-            metrics = per_layer(spec, session, jobs, data_dir, region_path)
+            metrics = per_layer(spec, session, jobs, data_dir, region_path, start_oracle)
         else:
-            metrics = end_to_end(spec, args, session, jobs, data_dir, region_path)
+            metrics = end_to_end(spec, args, session, jobs, data_dir, region_path, start_oracle)
         log("jobs:", json.dumps(jobs.walls))
     finally:
         session.stop()

@@ -36,7 +36,9 @@ def reset_dir(path: str) -> None:
 
 class RssSampler:
     """Peak of RSS summed over this process and all its descendants (the Ray
-    head processes and workers are children of this process)."""
+    head processes and workers are children of this process), leaving out
+    idle pooled workers: how many Ray keeps idle varies from run to run, and
+    each one moved the sum by ~100 MiB."""
 
     INTERVAL_S = 0.2
 
@@ -50,7 +52,8 @@ class RssSampler:
         total = 0
         for p in [me] + me.children(recursive=True):
             try:
-                total += p.memory_info().rss
+                if not p.name().startswith("ray::IDLE"):
+                    total += p.memory_info().rss
             except psutil.Error:  # exited between listing and reading
                 pass
         self.peak_bytes = max(self.peak_bytes, total)
