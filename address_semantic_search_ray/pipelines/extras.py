@@ -240,7 +240,7 @@ class ExplainLinker:
 
         self.np_index = resolve_index(np_index_ref)
         self.top_n = top_n
-        # structured-key memo, same shape as MentionLinkStage's: mention
+        # structured-key memo, same shape as MentionLinkTriplesStage's: mention
         # TEXTS are ~97% distinct on transcript streams but the interpreted
         # (district, town, village, road, road_num, residual) tuple repeats
         # heavily (~79% hit at base sf0.1, BASELINE.md); the ranked winners +

@@ -10,21 +10,30 @@ Two modes, byte-identical triples:
     read_parquet(transcripts) -> map_batches(MentionStage, actor pool) -> mentions/
     mentions                  -> sort(district_key) -> map_batches(LinkerActor,
                                  per-actor bucket LRU)  -> links/
-    links                     -> triples -> groupby(conv bucket).map_groups(
-                                 stable-sort + dedup)  [K3 + D4]
-    mentions                  -> region chain -> groupby(edge bucket) distinct
-    both                      -> triples/ Parquet
+    links                     -> map_batches(route_link_batch)
+                              -> groupby(route).map_groups(finalize_route_group)
+                                 [K3 + D4]      -> triples/ Parquet
 
 ``run_kg_streaming`` (broadcast-index — when the corpus index fits in worker
 memory, the common case against a 10^12-turn transcript table): corpus
 interpreted distributed, IDF finalized driver-side (small side by
 definition), flattened to a zero-copy numpy index in plasma
 (kernel/npindex.py — ONE copy per node, not per actor); then ONE fused
-streaming job with no mid-pipeline disk (stages/fused.py).
+streaming job with no mid-pipeline disk:
+    read_parquet(transcripts) -> map_batches(MentionLinkTriplesStage, actor pool)
+                              -> groupby(route).map_groups(finalize_route_group)
+                              -> triples/ Parquet
+
+Both modes turn link rows into triples through the same code
+(stages/fused.py): ``route_link_rows`` routes each mention to a conv bucket
+and each part_of edge to an edge bucket; ``finalize_route_group`` dedups and
+formats one bucket.
 
 Shuffle keys: (district_key, term_key) for IDF, district_key for linking,
 conv_id for canonicalization — ONE partitioning key reused per concern.
-Every checkpointed stage boundary is resumable (state/checkpoint.py).
+Every checkpointed stage boundary is resumable (state/checkpoint.py); stage
+fingerprints include the code version, so a resume after a code change
+reruns every stage.
 
 Must NOT call ray.init(): the driver/bench owns the session.
 """
@@ -32,19 +41,33 @@ Must NOT call ray.init(): the driver/bench owns the session.
 from __future__ import annotations
 
 import os
+import sys
 
 import ray
 import ray.data as rd
 
+from ..stages.fused import (
+    MentionLinkTriplesStage, finalize_route_group, route_link_batch,
+)
 from ..stages.idf import build_idf
 from ..stages.interpret import CorpusInterpretStage, MentionStage, put_region_table
 from ..stages.link import LinkerActor
-from ..stages.triples import (
-    add_conv_bucket, canonicalize_conv_group, emit_turn_triples,
-    explode_part_of_edges, part_of_bucket_dedup,
-)
-from ..state.checkpoint import StageRunner, fingerprint_paths
+from ..state.checkpoint import StageRunner, code_salt, fingerprint_paths
 from .oracle import default_region_dict_path
+
+
+def _code_version() -> str:
+    """Code-version salt of every module the checkpointed stages run."""
+    from ..kernel import (
+        division, document, interpreter, mentions, npindex, regions, roadnum,
+        segment, similarity, stringutil, trie, types, visitor,
+    )
+    from ..stages import fused, idf, interpret, link
+
+    return code_salt(division, document, interpreter, mentions, npindex,
+                     regions, roadnum, segment, similarity, stringutil, trie,
+                     types, visitor, fused, idf, interpret, link,
+                     sys.modules[__name__])
 
 
 def run_kg_pipeline(
@@ -56,7 +79,6 @@ def run_kg_pipeline(
     concurrency: int = 4,
     batch_size: int = 2048,
     link_batch_size: int = 256,
-    salt: int = 1,  # kept for API compat; skew is handled by link batch slicing
     resume: bool = True,
 ) -> dict:
     """Run the full pipeline; returns {"triples": path, "metrics": [...]}."""
@@ -73,7 +95,7 @@ def run_kg_pipeline(
             region_ref = put_region_table(region_dict_path)
         return region_ref
 
-    params = {"top_n": top_n, "salt": salt}
+    params = {"top_n": top_n, "code": _code_version()}
 
     # -- stage 1: corpus doc vectors ---------------------------------------
     fp_corpus = fingerprint_paths(addresses_path, region_dict_path, extra=params)
@@ -150,23 +172,17 @@ def run_kg_pipeline(
     links_dir = runner.run("links", fp_links, write_links)
 
     # -- stage 5: triples + canonicalization -------------------------------
-    fp_triples = fingerprint_paths(links_dir, mentions_dir, extra=params)
+    # the same routing + finalize as the streaming mode (stages/fused.py)
+    fp_triples = fingerprint_paths(links_dir, extra=params)
 
     def write_triples(tmp):
-        links_ds = rd.read_parquet(links_dir)
-        conv_triples = (
-            links_ds.map_batches(emit_turn_triples, batch_format="pyarrow")
-            .map_batches(add_conv_bucket, batch_format="pyarrow")
-            .groupby("conv_bucket")
-            .map_groups(canonicalize_conv_group, batch_format="pyarrow")
+        (
+            rd.read_parquet(links_dir)
+            .map_batches(route_link_batch, batch_format="pyarrow")
+            .groupby("route")
+            .map_groups(finalize_route_group, batch_format="pyarrow")
+            .write_parquet(tmp)
         )
-        part_of = (
-            rd.read_parquet(mentions_dir, columns=["region_chain"])
-            .map_batches(explode_part_of_edges, batch_format="pyarrow")
-            .groupby("edge_bucket")
-            .map_groups(part_of_bucket_dedup, batch_format="pyarrow")
-        )
-        conv_triples.union(part_of).write_parquet(tmp)
 
     triples_dir = runner.run("triples", fp_triples, write_triples)
 
@@ -187,16 +203,9 @@ def run_kg_pipeline(
 SMALL_INDEX_OVERLAP_MAX_BYTES = 16 << 20
 BROADCAST_INDEX_MAX_BYTES = 4 << 30
 N_INDEX_BUCKETS = 64
-
-
-def _count_parquet_rows(path: str) -> int:
-    import glob
-
-    import pyarrow.parquet as pq
-
-    files = sorted(glob.glob(os.path.join(path, "*.parquet"))) \
-        if os.path.isdir(path) else [path]
-    return sum(pq.read_metadata(f).num_rows for f in files)
+# transcript read blocks per fused actor: enough tasks for the pool to
+# load-balance, few enough that per-task overhead stays small
+STREAM_BLOCKS_PER_ACTOR = 6
 
 
 def estimate_index_bytes(addresses_path: str) -> int:
@@ -256,9 +265,7 @@ def _index_cache_path(addresses_path: str, region_digest: str) -> str | None:
     for f in files:
         st = os.stat(f)
         parts.append(f"{os.path.abspath(f)}:{st.st_size}:{st.st_mtime_ns}")
-    for mod in (_kt, _kr, _kv, _ki, _ks, _kd, _ksim, _kn, _sidf):
-        ms = os.stat(mod.__file__)  # code-version salt
-        parts.append(f"{ms.st_size}:{ms.st_mtime_ns}")
+    parts.append(code_salt(_kt, _kr, _kv, _ki, _ks, _kd, _ksim, _kn, _sidf))
     # the index payload depends on the REGION DICT too (interpretation runs
     # through the region trie): a different dict over the same addresses
     # must never hit a stale cache entry (ADVICE r4)
@@ -405,8 +412,6 @@ def run_kg_streaming(
     checkpointed/partitioned path for when it does not. Both modes emit
     identical triples.
     """
-    from ..stages.fused import MentionLinkTriplesStage, finalize_route_group
-
     region_dict_path = region_dict_path or default_region_dict_path()
     addresses_path = os.path.join(data_dir, "addresses.parquet")
     transcripts_path = os.path.join(data_dir, "transcripts.parquet")
@@ -461,8 +466,7 @@ def run_kg_streaming(
     triples_ds = (
         rd.read_parquet(transcripts_path,
                         columns=["conv_id", "turn_idx", "role", "text"],
-                        override_num_blocks=concurrency * int(
-                            os.environ.get("ASR_STREAM_BLOCKS_PER_ACTOR", "6")))
+                        override_num_blocks=concurrency * STREAM_BLOCKS_PER_ACTOR)
         .map_batches(
             MentionLinkTriplesStage,
             fn_constructor_args=(region_ref, index_ref, top_n),

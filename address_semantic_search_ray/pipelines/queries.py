@@ -2769,7 +2769,7 @@ def _kg_artifacts(sf_dir: str) -> dict:
     # cache at sf0.1 otherwise pays a whole checkpointed run at 4 actors
     n_cpus = int(ray.cluster_resources().get("CPU", 8))
     return run_kg_pipeline(data_dir, work,
-                           concurrency=max(2, min(24, n_cpus - 4)), salt=2)
+                           concurrency=max(2, min(24, n_cpus - 4)))
 
 
 def _ensure_kg_naive(sf_dir: str):

@@ -1,18 +1,21 @@
-"""Fused mention-detection + linking stage (broadcast-index mode).
+"""Link rows -> triples, shared by both KG modes, and the fused
+mention-detection + linking stage of the broadcast-index mode.
 
-When the historical corpus index fits in the object store — and against a
-10^12-turn transcript table the corpus IS the small side — the idiomatic Ray
-Data shape is a broadcast map-side join: the flat numpy similarity index
-(kernel/npindex.py) is ``ray.put`` ONCE; each actor's ``ray.get`` maps the
-same plasma buffers read-only (zero-copy, O(1) index memory per node
-regardless of actor count), and mention detection + top-1 linking happen in
-one pass over the transcript stream with NO shuffle at all (no sort, no
-co-partition).
+Both modes turn link rows (``FUSED_SCHEMA``) into triples the same way:
+``route_link_rows`` routes each mention row to a conv bucket and each
+batch-deduped ``part_of`` edge to an edge bucket (``TRIPLE_ROUTE_SCHEMA``,
+int codes only), then one ``groupby("route").map_groups(finalize_route_group)``
+expands, dedups and formats them (``TRIPLE_SCHEMA``).
 
-The checkpointed pipeline (pipelines/kg.py, bucketed partitions + sorted
-actor pool) is the path for when the corpus outgrows worker memory; both
-modes produce byte-identical triples (the numpy scorer is bit-equal to the
-sequential kernel — tests/test_npindex.py).
+- Streaming (``run_kg_streaming``): the flat numpy similarity index
+  (kernel/npindex.py) is ``ray.put`` ONCE; each actor's ``ray.get`` maps the
+  same plasma buffers read-only (zero-copy, O(1) index memory per node
+  regardless of actor count), and ``MentionLinkTriplesStage`` detects,
+  links and routes in one pass over the transcript stream — a broadcast
+  map-side join with no sort and no co-partition shuffle.
+- Checkpointed (``run_kg_pipeline``): the ``links/`` checkpoint written by
+  ``LinkerActor`` has the same link-row schema; ``route_link_batch`` is the
+  Arrow adapter that feeds it to ``route_link_rows``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .interpret import _RegionStateMixin, _region_ids
 
 
 def resolve_index(index_ref):
-    """Accepts a single-payload ObjectRef, a raw payload dict
-    (tests/microbench), or a sharded {bucket: payload ObjectRef} map; the
+    """Accepts a single-payload ObjectRef, a raw payload dict (in-process
+    callers such as tests), or a sharded {bucket: payload ObjectRef} map; the
     ``ray.get`` of each payload maps plasma buffers zero-copy per node."""
     if isinstance(index_ref, dict):
         if "district_keys" in index_ref:  # raw payload
@@ -40,6 +43,9 @@ def resolve_index(index_ref):
 
     return NpCorpusIndex.from_payload(ray.get(index_ref))
 
+
+# one row per linked mention: the fused stage's output and the checkpointed
+# pipeline's links/ schema
 FUSED_SCHEMA = pa.schema([
     ("conv_id", pa.string()),
     ("turn_idx", pa.int32()),
@@ -47,55 +53,101 @@ FUSED_SCHEMA = pa.schema([
     ("role", pa.string()),
     ("district_key", pa.string()),
     ("least_region_id", pa.int64()),
-    ("linked_addr", pa.int64()),
+    ("linked_addr", pa.int64()),  # -1 when unlinked
     ("score", pa.float64()),
     ("region_chain", pa.list_(pa.int64())),
 ])
 
+TRIPLE_ROUTE_SCHEMA = pa.schema([
+    ("route", pa.int32()),  # <1000: conv bucket; >=1000: part_of edge bucket
+    ("conv_id", pa.string()),
+    ("turn_idx", pa.int32()),
+    ("mention_idx", pa.int32()),
+    ("role", pa.string()),
+    ("district_key", pa.string()),
+    ("least", pa.int64()),   # mention rows: least_region_id; edges: child
+    ("linked", pa.int64()),  # mention rows: linked_addr (-1 none); edges: parent
+    ("score", pa.float64()),
+])
 
-def put_np_index(docs_tbl: pa.Table, idf_tbl: pa.Table):
-    """Driver-side: build the flat numpy corpus index once and put it in the
-    object store. Every actor's ``ray.get`` maps the SAME plasma buffers
-    read-only (zero-copy) — per-node index memory is O(1) in actor count,
-    which is the round-2 fix for the measured 28-replicas memory-bus
-    saturation (BASELINE.md round-1 scaling analysis)."""
-    import ray
+# the final triple format, shared with the single-process oracle — see the
+# ``pipelines/oracle.py`` docstring
+TRIPLE_SCHEMA = pa.schema([
+    ("subj", pa.string()),
+    ("pred", pa.string()),
+    ("obj", pa.string()),
+    ("conv_id", pa.string()),
+    ("turn_idx", pa.int32()),
+    ("district_key", pa.string()),
+    ("score", pa.float64()),
+])
 
-    return ray.put(NpCorpusIndex.from_tables(docs_tbl, idf_tbl).to_payload())
+_N_CONV_BUCKETS = 256
+_N_EDGE_BUCKETS = 64
 
 
-class MentionLinkStage(_RegionStateMixin):
-    """transcripts -> link rows (+ region_chain) in one actor-pool pass."""
+def route_link_rows(rows: dict[str, list]) -> pa.Table:
+    """Link rows as plain column lists (``FUSED_SCHEMA`` names) -> routed
+    COMPACT rows: one per mention, routed by conv bucket, plus the batch's
+    distinct ``part_of`` edges as int pairs, routed by edge bucket. No
+    subj/pred/obj strings yet — ``finalize_route_group`` builds them after
+    the shuffle, so the all-to-all moves ~2.5x fewer bytes per turn and no
+    per-row f-string is allocated here."""
+    from zlib import crc32
 
-    def __init__(self, region_ref, index_ref, top_n: int = 1, memo: bool = True):
+    convs = rows["conv_id"]
+    routes = [crc32(c.encode()) % _N_CONV_BUCKETS for c in convs]
+    edges = set()
+    for chain in rows["region_chain"]:
+        for child, parent in zip(chain, chain[1:]):
+            edges.add((child, parent))
+    ne = len(edges)
+    e_child = [c for c, _ in edges]
+    e_parent = [p for _, p in edges]
+    e_route = [1000 + crc32(b"%d:%d" % (c, p)) % _N_EDGE_BUCKETS
+               for c, p in edges]
+    return pa.Table.from_arrays(
+        [
+            pa.array(routes + e_route, pa.int32()),
+            pa.array(convs + [""] * ne, pa.string()),
+            pa.array(rows["turn_idx"] + [-1] * ne, pa.int32()),
+            pa.array(rows["mention_idx"] + [-1] * ne, pa.int32()),
+            pa.array(rows["role"] + [""] * ne, pa.string()),
+            pa.array(rows["district_key"] + [""] * ne, pa.string()),
+            pa.array(rows["least_region_id"] + e_child, pa.int64()),
+            pa.array(rows["linked_addr"] + e_parent, pa.int64()),
+            pa.array(rows["score"] + [1.0] * ne, pa.float64()),
+        ],
+        schema=TRIPLE_ROUTE_SCHEMA,
+    )
+
+
+def route_link_batch(batch: pa.Table) -> pa.Table:
+    """Arrow adapter over ``route_link_rows`` for a batch of stored link rows."""
+    return route_link_rows({n: batch.column(n).to_pylist() for n in FUSED_SCHEMA.names})
+
+
+class MentionLinkTriplesStage(_RegionStateMixin):
+    """Fully fused: transcripts -> routed COMPACT rows in ONE pass
+    (detect + link, then ``route_link_rows``). The whole streaming pipeline
+    stays a single job: read -> this stage -> one groupby -> finalize ->
+    write."""
+
+    def __init__(self, region_ref, index_ref, top_n: int = 1):
         self._init_interpreter(region_ref)
+        self._init_prefilter()
         self.np_index = resolve_index(index_ref)
         self.top_n = top_n
-        self.memo = memo
         self._results: dict[tuple, tuple] = {}
         self._turn_results: dict[str, list] = {}
-        # vectorized turn prefilter: a turn with NO trie root-edge char can't
-        # contain a mention (the scan gate needs one at the mention start) —
-        # such rows are dropped arrow-side before any Python row work.
-        # RE2 handles the ~full first-char class fine.
-        chars = "".join(sorted(self.interpreter.trie.first_chars))
-        for c in "\\]^-":
-            chars = chars.replace(c, "\\" + c)
-        self._prefilter = f"[{chars}]"
         self._freeze_state()
 
     def _link_rows(self, batch: pa.Table) -> dict[str, list]:
         """One pass: detect + link; returns plain column lists (FUSED_SCHEMA
-        order) so subclasses can consume them without an Arrow round-trip."""
-        import pyarrow.compute as pc
-
-        mask = pc.match_substring_regex(batch.column("text"), self._prefilter)
-        n_match = pc.sum(mask).as_py() or 0
-        if n_match < batch.num_rows:
-            batch = batch.filter(mask)
-
+        order) so routing consumes them without an Arrow round-trip."""
+        batch = self._apply_prefilter(batch)
         it = self.interpreter
-        results = self._results if self.memo else None
+        results = self._results
         # turn-level memo: web-scale transcript streams are heavy with EXACT
         # duplicate turns (boilerplate, re-shares, crawl dups — the reason
         # C4-style pipelines dedupe exact text first). One dict probe on the
@@ -104,7 +156,7 @@ class MentionLinkStage(_RegionStateMixin):
         # because the duplicated turns are mostly the CHEAP chitchat ones;
         # the win grows with duplicate-heavy address-dense streams. Output
         # is byte-identical either way (hash-checked A/B).
-        turn_memo = self._turn_results if self.memo else None
+        turn_memo = self._turn_results
         find = self.np_index.find_similar
         top_n = self.top_n
         out = {name: [] for name in FUSED_SCHEMA.names}
@@ -125,7 +177,7 @@ class MentionLinkStage(_RegionStateMixin):
         ):
             if not text:
                 continue
-            rec = turn_memo.get(text) if turn_memo is not None else None
+            rec = turn_memo.get(text)
             if rec is None:
                 rec = []
                 for mention_idx, m in enumerate(find_mentions(text, it)):
@@ -134,11 +186,8 @@ class MentionLinkStage(_RegionStateMixin):
                     least, chain = _region_ids(a)
                     town = a.town.name if a.town is not None else ""
                     village = a.village.name if a.village is not None else ""
-                    hit = None
-                    if results is not None:
-                        memo_key = (key, town, village, a.road, a.road_num,
-                                    a.text)
-                        hit = results.get(memo_key)
+                    memo_key = (key, town, village, a.road, a.road_num, a.text)
+                    hit = results.get(memo_key)
                     if hit is not None:
                         linked, score = hit
                     else:
@@ -146,15 +195,13 @@ class MentionLinkStage(_RegionStateMixin):
                                    a.text, top_n=top_n)
                         linked, score = ((top[0][0], top[0][1]) if top
                                          else (-1, 0.0))
-                        if results is not None:
-                            if len(results) > 500_000:
-                                results.clear()
-                            results[memo_key] = (linked, score)
+                        if len(results) > 500_000:
+                            results.clear()
+                        results[memo_key] = (linked, score)
                     rec.append((mention_idx, key, least, linked, score, chain))
-                if turn_memo is not None:
-                    if len(turn_memo) > 200_000:
-                        turn_memo.clear()
-                    turn_memo[text] = rec
+                if len(turn_memo) > 200_000:
+                    turn_memo.clear()
+                turn_memo[text] = rec
             for mention_idx, key, least, linked, score, chain in rec:
                 o_conv(conv_id)
                 o_turn(turn_idx)
@@ -169,121 +216,7 @@ class MentionLinkStage(_RegionStateMixin):
         return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = self._link_rows(batch)
-        return pa.Table.from_arrays(
-            [pa.array(out[f.name], f.type) for f in FUSED_SCHEMA], schema=FUSED_SCHEMA
-        )
-
-
-class BroadcastLinker:
-    """Linking-only actor over mention rows, scoring against the broadcast
-    index. Used after a district sort so each memo key lands on ~one actor
-    (an unsorted stream fragments the memo across the pool: N actors pay N
-    cold misses per repeated query shape)."""
-
-    def __init__(self, index_ref, top_n: int = 1):
-        import gc
-
-        self.np_index = resolve_index(index_ref)
-        self.top_n = top_n
-        self._results: dict[tuple, tuple] = {}
-        self._gc_tick = 0
-        gc.collect()
-        gc.freeze()
-        gc.disable()  # see _RegionStateMixin._freeze_state (+ _maybe_gc)
-
-    _maybe_gc = _RegionStateMixin._maybe_gc
-    _GC_EVERY = _RegionStateMixin._GC_EVERY
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        self._maybe_gc()
-        linked_out, score_out = [], []
-        for key, town, village, road, road_num, residual in zip(
-            batch.column("district_key").to_pylist(),
-            batch.column("town").to_pylist(),
-            batch.column("village").to_pylist(),
-            batch.column("road").to_pylist(),
-            batch.column("road_num").to_pylist(),
-            batch.column("residual").to_pylist(),
-        ):
-            memo_key = (key, town, village, road, road_num, residual)
-            hit = self._results.get(memo_key)
-            if hit is not None:
-                linked, score = hit
-            else:
-                top = self.np_index.find_similar(
-                    key, town, village, road, road_num, residual,
-                    top_n=self.top_n)
-                linked, score = (top[0][0], top[0][1]) if top else (-1, 0.0)
-                if len(self._results) > 500_000:
-                    self._results.clear()
-                self._results[memo_key] = (linked, score)
-            linked_out.append(linked)
-            score_out.append(score)
-        out = batch.select(["conv_id", "turn_idx", "mention_idx", "role",
-                            "district_key", "least_region_id", "region_chain"])
-        out = out.append_column("linked_addr", pa.array(linked_out, pa.int64()))
-        return out.append_column("score", pa.array(score_out, pa.float64()))
-
-
-TRIPLE_ROUTE_SCHEMA = pa.schema([
-    ("route", pa.int32()),  # <1000: conv bucket; >=1000: part_of edge bucket
-    ("conv_id", pa.string()),
-    ("turn_idx", pa.int32()),
-    ("mention_idx", pa.int32()),
-    ("role", pa.string()),
-    ("district_key", pa.string()),
-    ("least", pa.int64()),   # mention rows: least_region_id; edges: child
-    ("linked", pa.int64()),  # mention rows: linked_addr (-1 none); edges: parent
-    ("score", pa.float64()),
-])
-
-_N_CONV_BUCKETS = 256
-_N_EDGE_BUCKETS = 64
-
-
-class MentionLinkTriplesStage(MentionLinkStage):
-    """Fully fused: transcripts -> routed COMPACT rows in ONE pass.
-
-    One row per mention (int codes only — no subj/pred/obj strings) routed
-    by conv bucket, plus batch-deduped part_of edges as int pairs routed by
-    edge bucket. The located_at + mentions expansion and ALL triple string
-    formatting happen vectorized in ``finalize_route_group`` AFTER the
-    shuffle, so the one all-to-all moves ~2.5x fewer bytes per turn and the
-    hot actor loop allocates no per-row f-strings (round-3 verdict: the
-    32-CPU anchor is pinned on memory bandwidth; bytes-per-turn is the
-    lever). The whole pipeline stays a single streaming job:
-    read -> this stage -> one groupby -> finalize -> write."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from zlib import crc32
-
-        rows = self._link_rows(batch)  # plain lists — no Arrow round-trip
-        convs = rows["conv_id"]
-        routes = [crc32(c.encode()) % _N_CONV_BUCKETS for c in convs]
-        edges = set()
-        for chain in rows["region_chain"]:
-            for child, parent in zip(chain, chain[1:]):
-                edges.add((child, parent))
-        ne = len(edges)
-        e_child = [c for c, _ in edges]
-        e_parent = [p for _, p in edges]
-        e_route = [1000 + crc32(b"%d:%d" % (c, p)) % _N_EDGE_BUCKETS
-                   for c, p in edges]
-        return pa.Table.from_arrays(
-            [
-                pa.array(routes + e_route, pa.int32()),
-                pa.array(convs + [""] * ne, pa.string()),
-                pa.array(rows["turn_idx"] + [-1] * ne, pa.int32()),
-                pa.array(rows["mention_idx"] + [-1] * ne, pa.int32()),
-                pa.array(rows["role"] + [""] * ne, pa.string()),
-                pa.array(rows["district_key"] + [""] * ne, pa.string()),
-                pa.array(rows["least_region_id"] + e_child, pa.int64()),
-                pa.array(rows["linked_addr"] + e_parent, pa.int64()),
-                pa.array(rows["score"] + [1.0] * ne, pa.float64()),
-            ],
-            schema=TRIPLE_ROUTE_SCHEMA,
-        )
+        return route_link_rows(self._link_rows(batch))  # plain lists
 
 
 def finalize_route_group(group: pa.Table) -> pa.Table:
@@ -292,15 +225,13 @@ def finalize_route_group(group: pa.Table) -> pa.Table:
     Mention rows expand to their located_at + mentions triples HERE —
     first-wins dedup runs on the int codes ((conv, role, least) is exactly
     located_at's (conv, subj, pred, obj) key and (conv, linked) exactly
-    mentions'), in the same stable (conv, turn, mention, pred) order as the
-    checkpointed path's ``canonicalize_conv_group``; the subj/obj strings
-    are then built vectorized for the survivors only. Edge buckets dedup
-    the int pairs and format the same way. Output is byte-identical to the
-    pre-compaction emit (driver kg_triples hash + mode-parity tests)."""
+    mentions'), in the stable (conv, turn, mention, pred) order the oracle
+    emits; the subj/obj strings are then built vectorized for the survivors
+    only. Edge buckets dedup the int pairs and format the same way. Output
+    equals the oracle's triples (driver kg_triples hash + mode-parity
+    tests)."""
     import numpy as np
     import pandas as pd
-
-    from .triples import TRIPLE_SCHEMA
 
     df = group.to_pandas()
     if int(df["route"].iloc[0]) >= 1000:

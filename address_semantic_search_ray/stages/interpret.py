@@ -35,12 +35,12 @@ def region_state_bytes(region_dict_path: str) -> bytes:
     from ..kernel import regions as _kr
     from ..kernel import trie as _kt
     from ..kernel import visitor as _kv
+    from ..state.checkpoint import code_salt
 
     st = os.stat(region_dict_path)
-    parts = [f"{os.path.abspath(region_dict_path)}:{st.st_size}:{st.st_mtime_ns}"]
-    for mod in (_kt, _kr, _kv, _ki):  # code-version salt: stale pickles
-        ms = os.stat(mod.__file__)    # after a kernel change must miss
-        parts.append(f"{ms.st_size}:{ms.st_mtime_ns}")
+    # code-version salt: stale pickles after a kernel change must miss
+    parts = [f"{os.path.abspath(region_dict_path)}:{st.st_size}:{st.st_mtime_ns}",
+             code_salt(_kt, _kr, _kv, _ki)]
     key = hashlib.blake2b("|".join(parts).encode(), digest_size=10).hexdigest()
     # per-user cache dir, mode 0700: a world-writable shared path would let
     # another local user pre-plant a pickle under a derivable key (the key is
@@ -99,6 +99,24 @@ class _RegionStateMixin:
         payload = ray.get(region_ref) if not isinstance(region_ref, bytes) else region_ref
         self.regions, trie = pickle.loads(payload)
         self.interpreter = Interpreter(self.regions, trie=trie)
+
+    def _init_prefilter(self):
+        """Vectorized turn prefilter: a turn with NO trie root-edge char can't
+        contain a mention (the scan gate needs one at the mention start), so
+        ``_apply_prefilter`` drops such rows arrow-side before any Python row
+        work. RE2 handles the ~full first-char class fine."""
+        chars = "".join(sorted(self.interpreter.trie.first_chars))
+        for c in "\\]^-":
+            chars = chars.replace(c, "\\" + c)
+        self._prefilter = f"[{chars}]"
+
+    def _apply_prefilter(self, batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        mask = pc.match_substring_regex(batch.column("text"), self._prefilter)
+        if (pc.sum(mask).as_py() or 0) < batch.num_rows:
+            batch = batch.filter(mask)
+        return batch
 
     def _freeze_state(self):
         """Move the (large, immutable) per-actor state out of GC's reach and
@@ -217,21 +235,11 @@ class MentionStage(_RegionStateMixin):
 
     def __init__(self, region_ref):
         self._init_interpreter(region_ref)
-        # see MentionLinkStage: rows with no trie root-edge char can't hold a
-        # mention — drop them arrow-side before the Python row loop
-        chars = "".join(sorted(self.interpreter.trie.first_chars))
-        for c in "\\]^-":
-            chars = chars.replace(c, "\\" + c)
-        self._prefilter = f"[{chars}]"
+        self._init_prefilter()
         self._freeze_state()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        mask = pc.match_substring_regex(batch.column("text"), self._prefilter)
-        n_match = pc.sum(mask).as_py() or 0
-        if n_match < batch.num_rows:
-            batch = batch.filter(mask)
+        batch = self._apply_prefilter(batch)
         it = self.interpreter
         out = {k: [] for k in ("conv_id", "turn_idx", "mention_idx", "role", "district_key",
                                "town", "village", "road", "road_num",

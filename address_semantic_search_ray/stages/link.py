@@ -21,26 +21,15 @@ from __future__ import annotations
 
 import glob
 import os
-import zlib
 from collections import OrderedDict
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..kernel.npindex import NpCorpusIndex
+from .fused import FUSED_SCHEMA
 
 DEFAULT_N_BUCKETS = 64
-
-LINK_SCHEMA = pa.schema([
-    ("conv_id", pa.string()),
-    ("turn_idx", pa.int32()),
-    ("mention_idx", pa.int32()),
-    ("role", pa.string()),
-    ("district_key", pa.string()),
-    ("least_region_id", pa.int64()),
-    ("linked_addr", pa.int64()),  # -1 when unlinked
-    ("score", pa.float64()),
-])
 
 
 def bucket_of(district_key: str, n_buckets: int = DEFAULT_N_BUCKETS) -> int:
@@ -74,7 +63,9 @@ def load_bucket_index(doc_dir: str, idf_dir: str, bucket: int) -> NpCorpusIndex 
 
 
 class LinkerActor:
-    """Actor-pool scorer with an LRU of loaded buckets."""
+    """Actor-pool scorer with an LRU of loaded buckets: mention rows -> link
+    rows (``FUSED_SCHEMA``, the streaming stage's link-row schema, so both
+    modes route and finalize them with the same code)."""
 
     def __init__(self, doc_dir: str, idf_dir: str, top_n: int = 1,
                  n_buckets: int = DEFAULT_N_BUCKETS, cache_buckets: int = 16):
@@ -116,19 +107,14 @@ class LinkerActor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         self._maybe_gc()
-        out = {name: [] for name in LINK_SCHEMA.names}
-        for conv_id, turn_idx, mention_idx, role, key, town, village, road, road_num, residual, least in zip(
-            batch.column("conv_id").to_pylist(),
-            batch.column("turn_idx").to_pylist(),
-            batch.column("mention_idx").to_pylist(),
-            batch.column("role").to_pylist(),
+        linked_out, score_out = [], []
+        for key, town, village, road, road_num, residual in zip(
             batch.column("district_key").to_pylist(),
             batch.column("town").to_pylist(),
             batch.column("village").to_pylist(),
             batch.column("road").to_pylist(),
             batch.column("road_num").to_pylist(),
             batch.column("residual").to_pylist(),
-            batch.column("least_region_id").to_pylist(),
         ):
             memo_key = (key, town, village, road, road_num, residual)
             hit = self._results.get(memo_key)
@@ -143,14 +129,13 @@ class LinkerActor:
                 if len(self._results) > 500_000:
                     self._results.clear()
                 self._results[memo_key] = (linked, score)
-            out["conv_id"].append(conv_id)
-            out["turn_idx"].append(turn_idx)
-            out["mention_idx"].append(mention_idx)
-            out["role"].append(role)
-            out["district_key"].append(key)
-            out["least_region_id"].append(least)
-            out["linked_addr"].append(linked)
-            out["score"].append(score)
+            linked_out.append(linked)
+            score_out.append(score)
+        # every other link-row column passes through from the mention row
+        scored = {"linked_addr": pa.array(linked_out, pa.int64()),
+                  "score": pa.array(score_out, pa.float64())}
         return pa.Table.from_arrays(
-            [pa.array(out[f.name], f.type) for f in LINK_SCHEMA], schema=LINK_SCHEMA
+            [scored[f.name] if f.name in scored else batch.column(f.name).cast(f.type)
+             for f in FUSED_SCHEMA],
+            schema=FUSED_SCHEMA,
         )

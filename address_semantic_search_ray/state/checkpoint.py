@@ -21,6 +21,17 @@ import shutil
 import time
 
 
+def code_salt(*modules) -> str:
+    """Code-version salt for cache and checkpoint keys: the size and mtime of
+    each module's source file. Editing a module changes it, so an entry built
+    by older code misses instead of being served stale."""
+    parts = []
+    for mod in modules:
+        st = os.stat(mod.__file__)
+        parts.append(f"{st.st_size}:{st.st_mtime_ns}")
+    return "|".join(parts)
+
+
 def fingerprint_paths(*paths: str, extra: dict | None = None) -> str:
     """Cheap input fingerprint: (path, size, mtime_ns) of every file + params."""
     items = []

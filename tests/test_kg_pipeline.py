@@ -39,7 +39,7 @@ def pipeline_result(ray_session, tiny_data, tmp_path_factory):
     from address_semantic_search_ray.pipelines.kg import run_kg_pipeline
 
     work = str(tmp_path_factory.mktemp("kgwork"))
-    result = run_kg_pipeline(tiny_data, work, concurrency=2, salt=1)
+    result = run_kg_pipeline(tiny_data, work, concurrency=2)
     return result
 
 
@@ -109,11 +109,11 @@ def test_resume_skips_completed_stages(ray_session, tiny_data, pipeline_result):
 
     work = pipeline_result["triples"].rsplit("/", 1)[0]
     # rerun: everything skipped
-    res2 = run_kg_pipeline(tiny_data, work, concurrency=2, salt=1)
+    res2 = run_kg_pipeline(tiny_data, work, concurrency=2)
     assert all(m["skipped"] for m in res2["metrics"])
     # invalidate one mid-pipeline stage: only it and downstream rerun
     shutil.rmtree(pipeline_result["links"])
-    res3 = run_kg_pipeline(tiny_data, work, concurrency=2, salt=1)
+    res3 = run_kg_pipeline(tiny_data, work, concurrency=2)
     by_stage = {m["stage"]: m["skipped"] for m in res3["metrics"]}
     assert by_stage["doc_vectors"] and by_stage["idf"] and by_stage["mentions"]
     assert not by_stage["links"] and not by_stage["triples"]
@@ -122,14 +122,64 @@ def test_resume_skips_completed_stages(ray_session, tiny_data, pipeline_result):
     assert _triple_set(oracle) == _triple_set(pq.read_table(res3["triples"]))
 
 
-def test_salted_linking_is_invariant(ray_session, tiny_data, tmp_path_factory, pipeline_result):
-    from address_semantic_search_ray.pipelines.kg import run_kg_pipeline
+def test_resume_reruns_after_code_change(ray_session, tiny_data, tmp_path, monkeypatch):
+    """Stage fingerprints carry the code version: a resume under the same
+    version skips every stage, and one under a new version reruns every
+    stage instead of serving checkpoints written by older code."""
+    from address_semantic_search_ray.pipelines import kg
 
-    work = str(tmp_path_factory.mktemp("kgwork_salted"))
-    res = run_kg_pipeline(tiny_data, work, concurrency=2, salt=4)
-    a = pq.read_table(res["triples"])
-    b = pq.read_table(pipeline_result["triples"])
-    assert _triple_set(a) == _triple_set(b)
+    work = str(tmp_path / "work")
+    monkeypatch.setattr(kg, "_code_version", lambda: "v1")
+    first = kg.run_kg_pipeline(tiny_data, work, concurrency=2)
+    assert not any(m["skipped"] for m in first["metrics"])
+    same = kg.run_kg_pipeline(tiny_data, work, concurrency=2)
+    assert all(m["skipped"] for m in same["metrics"])
+    monkeypatch.setattr(kg, "_code_version", lambda: "v2")
+    changed = kg.run_kg_pipeline(tiny_data, work, concurrency=2)
+    assert [m["stage"] for m in changed["metrics"]] == [
+        "doc_vectors", "idf", "mentions", "links", "triples"]
+    assert not any(m["skipped"] for m in changed["metrics"])
+
+
+def test_triples_invariant_under_bucket_counts(tiny_data, monkeypatch):
+    """Both modes route link rows with ``route_link_rows`` and finalize each
+    route group with ``finalize_route_group``, so this in-process check (no
+    Ray) pins for both that the conv and edge bucket counts never change the
+    triples: every setting gives the same rows, equal to the oracle's."""
+    import pyarrow as pa
+
+    from address_semantic_search_ray.pipelines import kg
+    from address_semantic_search_ray.stages import fused
+    from address_semantic_search_ray.stages.interpret import region_state_bytes
+
+    region = region_state_bytes(kg.default_region_dict_path())
+    payload = kg._build_small_corpus_index_impl(
+        tiny_data + "/addresses.parquet", region)
+    stage = fused.MentionLinkTriplesStage(region, payload, 1)
+    transcripts = pq.read_table(tiny_data + "/transcripts.parquet",
+                                columns=["conv_id", "turn_idx", "role", "text"])
+    batches = [pa.Table.from_batches([b])
+               for b in transcripts.to_batches(max_chunksize=256)]
+    assert len(batches) > 1  # edges repeat across batches
+
+    runs = []
+    for n_conv, n_edge in ((1, 1), (7, 3), (256, 64)):
+        monkeypatch.setattr(fused, "_N_CONV_BUCKETS", n_conv)
+        monkeypatch.setattr(fused, "_N_EDGE_BUCKETS", n_edge)
+        routed = pa.concat_tables([stage(b) for b in batches])
+        routes = set(routed.column("route").to_pylist())
+        assert {r for r in routes if r < 1000} <= set(range(n_conv))
+        assert {r for r in routes if r >= 1000} <= set(range(1000, 1000 + n_edge))
+        triples = pa.concat_tables([
+            fused.finalize_route_group(
+                routed.filter(pc.equal(routed.column("route"), r)))
+            for r in sorted(routes)])
+        runs.append(sorted(zip(*[triples.column(n).to_pylist()
+                                 for n in triples.column_names])))
+        run_set = _triple_set(triples)
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0]) == len(run_set)  # finalize left no duplicate row
+    assert run_set == _triple_set(run_oracle(tiny_data))
 
 
 def test_streaming_mode_matches_checkpointed(ray_session, tiny_data, tmp_path_factory, pipeline_result):
