@@ -49,7 +49,13 @@ def term_hash(text: str) -> int:
         hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-def district_bucket(district_key: str, n_buckets: int) -> int:
+# district buckets of the hive-partitioned checkpoints, the sharded
+# broadcast index and the linker's bucket LRU; writer and reader must agree
+N_DISTRICT_BUCKETS = 64
+
+
+def district_bucket(district_key: str,
+                    n_buckets: int = N_DISTRICT_BUCKETS) -> int:
     """Stable bucket for a district key (shared by the hive-partitioned
     checkpoints and the sharded broadcast index — ONE partitioning function
     reused everywhere)."""

@@ -46,6 +46,7 @@ import sys
 import ray
 import ray.data as rd
 
+from ..kernel.npindex import N_DISTRICT_BUCKETS
 from ..stages.fused import (
     MentionLinkTriplesStage, finalize_route_group, route_link_batch,
 )
@@ -202,7 +203,6 @@ def run_kg_pipeline(
 # is the only honest mode.
 SMALL_INDEX_OVERLAP_MAX_BYTES = 16 << 20
 BROADCAST_INDEX_MAX_BYTES = 4 << 30
-N_INDEX_BUCKETS = 64
 # transcript read blocks per fused actor: enough tasks for the pool to
 # load-balance, few enough that per-task overhead stays small
 STREAM_BLOCKS_PER_ACTOR = 6
@@ -378,18 +378,18 @@ _split_corpus_block = ray.remote(_split_corpus_block_impl)
 _build_bucket_payload = ray.remote(_build_bucket_payload_impl)
 
 
-def build_sharded_index_refs(corpus_ds, n_buckets: int = N_INDEX_BUCKETS) -> dict:
+def build_sharded_index_refs(corpus_ds) -> dict:
     """Distributed broadcast-index build: interpreted corpus Dataset ->
     {bucket: ObjectRef(payload)}. The corpus NEVER passes through the
     driver (round-2 verdict fix #2): blocks stay in plasma; split tasks
     partition them by district bucket with ``num_returns`` so build tasks
     fetch only their own slices; each bucket's index builds in parallel."""
     refs = corpus_ds.to_arrow_refs()
-    split = _split_corpus_block.options(num_returns=n_buckets)
-    parts = [split.remote(r, n_buckets) for r in refs]
+    split = _split_corpus_block.options(num_returns=N_DISTRICT_BUCKETS)
+    parts = [split.remote(r, N_DISTRICT_BUCKETS) for r in refs]
     return {
         b: _build_bucket_payload.remote(*[parts[i][b] for i in range(len(parts))])
-        for b in range(n_buckets)
+        for b in range(N_DISTRICT_BUCKETS)
     }
 
 

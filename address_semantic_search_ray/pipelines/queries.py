@@ -10,7 +10,6 @@ No function calls ``ray.init()`` — the caller owns the session.
 from __future__ import annotations
 
 import os
-import zlib
 
 import numpy as np
 import pandas as pd
@@ -21,28 +20,12 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
+from ..stages.cogroup import cogroup
+from ..stages.cogroup import to_arrow as _arrow
+
 # KG artifacts live under stable roots so the static oracle SQL can read them
 SYNTH_ROOT = "/tmp/asr_synth"
 WORK_ROOT = "/tmp/asr_entry_work"
-
-
-
-def _arrow(df: pd.DataFrame) -> pa.Table:
-    """pandas -> metadata-free Arrow block. Stages that feed a ``groupby`` /
-    ``aggregate`` must emit ARROW blocks: Ray 2.49's sort-shuffle takes a
-    per-row python path on pandas blocks (~12x slower — measured 6.7 s vs
-    0.56 s aggregating the same 14.7k partial rows)."""
-    return pa.Table.from_pandas(df, preserve_index=False) \
-        .replace_schema_metadata(None)
-
-def _crc_bucket(values, n_buckets: int) -> np.ndarray:
-    """int64 shuffle bucket of string keys: crc32 % n_buckets (NEVER builtin
-    ``hash`` — unstable across workers). One shared helper so the five
-    bucketed-groupby stages can't drift."""
-    vals = list(values) if not hasattr(values, "__len__") else values
-    return (np.fromiter((zlib.crc32(v.encode()) for v in vals),
-                        dtype=np.uint32, count=len(vals))
-            % np.uint32(n_buckets)).astype(np.int64)
 
 
 def _hour_key(ts_col):
@@ -96,6 +79,30 @@ def _naive_oracle_dir(sf_dir: str):
     out = naive.oracle_dir(sf)
     os.makedirs(out, exist_ok=True)
     return out
+
+
+_SESSION_MEMO: dict = {}
+
+
+def _session_memo(key: tuple, build):
+    """``build()`` once per Ray session and ``key``: the deterministic
+    intermediates several queries share (near-dup pairs, the co-mention
+    graph, the part_of closure) — at 100 TB computed once and persisted,
+    in-process held here. The Ray session token (node id — fresh per
+    ray.init; the job id is "01000000" in EVERY local session) is part of
+    the key: a MaterializedDataset's or ObjectRef's objects die with their
+    session, so a hit from a previous ray.init would replay dead refs
+    ("owner is unknown" on consume)."""
+    sess = ray.get_runtime_context().get_node_id() if ray.is_initialized() \
+        else None
+    hit = _SESSION_MEMO.get((sess,) + key) if sess is not None else None
+    if hit is None:
+        if len(_SESSION_MEMO) > 8:
+            _SESSION_MEMO.clear()
+        hit = build()
+        # building initialized Ray if it wasn't; key under the live session
+        _SESSION_MEMO[(ray.get_runtime_context().get_node_id(),) + key] = hit
+    return hit
 
 
 # -- relational core -------------------------------------------------------
@@ -243,19 +250,14 @@ def events_hopping(sf_dir: str, window_s: int = 3600, hop_s: int = 900):
     return out.map_batches(round_cols, batch_format="pandas")
 
 
-def events_sessionize(sf_dir: str, n_buckets: int = 64):
+def events_sessionize(sf_dir: str):
     """Session windows (30-min inactivity gap) per user.
 
-    Scale shape: ONE groupby on a crc32 user bucket (bounded group count,
-    independent of user cardinality); the per-user session logic runs
-    vectorized inside each bucket — a raw ``groupby(user_id)`` pays the
-    per-group map_groups overhead once per *user*, this pays it once per
-    *bucket*."""
+    Scale shape: ONE user-keyed co-group (bounded group count, independent
+    of user cardinality); the per-user session logic runs vectorized inside
+    each bucket — a raw ``groupby(user_id)`` pays the per-group map_groups
+    overhead once per *user*, this pays it once per *bucket*."""
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def add_bucket(df: pd.DataFrame) -> pa.Table:
-        df["_b"] = (df["user_id"].to_numpy() % n_buckets).astype(np.int64)
-        return _arrow(df)
 
     def sessions(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts"], kind="stable")
@@ -265,8 +267,7 @@ def events_sessionize(sf_dir: str, n_buckets: int = 64):
         return pd.DataFrame({"user_id": agg.index.to_numpy(),
                              "n_sessions": agg.to_numpy().astype(np.int64)})
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("_b").map_groups(sessions, batch_format="pandas"))
+    return cogroup(ds, "user_id", sessions)
 
 
 def events_zscore_hourly(sf_dir: str):
@@ -361,8 +362,7 @@ def events_approx_users_hll(sf_dir: str):
                                               batch_format="pandas"))
 
 
-def events_heavy_users_cms(sf_dir: str, min_count: int = 50,
-                           n_buckets: int = 32):
+def events_heavy_users_cms(sf_dir: str, min_count: int = 50):
     """Heavy-hitter detection via a Count-Min sketch (the frequency twin of
     the HLL cardinality sketch): users whose event count reaches
     ``min_count``, with the CMS point estimate (never an undercount). The
@@ -398,10 +398,7 @@ def events_heavy_users_cms(sf_dir: str, min_count: int = 50,
                                np.ones(len(users), dtype=np.int64)])
         return pa.table({"kind": pa.array(kind, pa.int64()),
                          "key": pa.array(key, pa.int64()),
-                         "n": pa.array(n, pa.int64()),
-                         "_ub": pa.array(np.where(kind == 1,
-                                                  key % n_buckets, -1),
-                                         pa.int64())})
+                         "n": pa.array(n, pa.int64())})
 
     tagged = ds.map_batches(tagged_partials,
                             batch_format="pandas").materialize()
@@ -423,13 +420,11 @@ def events_heavy_users_cms(sf_dir: str, min_count: int = 50,
         return pd.DataFrame({"user_id": users[keep],
                              "n_est": est[keep].astype(np.int64)})
 
-    return (tagged.filter(expr="kind == 1")
-            .groupby("_ub").map_groups(probe, batch_format="pandas"))
+    return cogroup(tagged.filter(expr="kind == 1"), "key", probe)
 
 
 def events_unseen_users_bloom(sf_dir: str, step_a: str = "signup",
-                              step_b: str = "purchase",
-                              n_buckets: int = 32):
+                              step_b: str = "purchase"):
     """Bloom-filter membership: for every distinct ``step_b`` user, was the
     id (maybe) present in the ``step_a`` user set? ``maybe_seen=False`` is
     CERTAIN absence (a Bloom filter has no false negatives); True is
@@ -470,10 +465,7 @@ def events_unseen_users_bloom(sf_dir: str, step_a: str = "signup",
                               np.zeros(len(b_users), dtype=np.int64)])
         return pa.table({"kind": pa.array(kind, pa.int64()),
                          "key": pa.array(key, pa.int64()),
-                         "val": pa.array(val, pa.int64()),
-                         "_ub": pa.array(np.where(kind == 1,
-                                                  key % n_buckets, -1),
-                                         pa.int64())})
+                         "val": pa.array(val, pa.int64())})
 
     tg = ds.map_batches(tagged, batch_format="pyarrow").materialize()
 
@@ -498,13 +490,11 @@ def events_unseen_users_bloom(sf_dir: str, step_a: str = "signup",
         seen = bloom_probe(ray.get(words_ref), users)
         return pd.DataFrame({"user_id": users, "maybe_seen": seen})
 
-    return (tg.filter(expr="kind == 1")
-            .groupby("_ub").map_groups(probe, batch_format="pandas"))
+    return cogroup(tg.filter(expr="kind == 1"), "key", probe)
 
 
 def events_funnel(sf_dir: str, step_a: str = "signup",
-                  step_b: str = "purchase", window_s: int = 7 * 86400,
-                  n_buckets: int = 32):
+                  step_b: str = "purchase", window_s: int = 7 * 86400):
     """Temporal conversion funnel: for every user with a ``step_a`` event,
     did a ``step_b`` event follow within the window of their FIRST
     ``step_a``? The A-then-B-within-T join every product-analytics stack
@@ -512,7 +502,7 @@ def events_funnel(sf_dir: str, step_a: str = "signup",
 
     Scale shape: the read prunes to the two step types at the source (an
     arrow filter inside the map, so only (user_id, ts, is_b) rows ever
-    shuffle); ONE user-bucketed co-group joins each user's A and B events
+    shuffle); ONE user-keyed co-group joins each user's A and B events
     vectorized inside the bucket. No per-user task, no raw-event shuffle of
     the other event types."""
     ds = _read(sf_dir, "events", ["event_type", "user_id", "ts"])
@@ -526,43 +516,37 @@ def events_funnel(sf_dir: str, step_a: str = "signup",
                       .astype("datetime64[us]").astype("int64"),
             "is_b": pc.equal(t.column("event_type"), step_b).to_pandas(),
         })
-        df["_ub"] = (df["user_id"].to_numpy() % n_buckets).astype(np.int64)
         return _arrow(df)
 
-    def convert(g: pd.DataFrame) -> pa.Table:
+    def convert(g: pd.DataFrame) -> pd.DataFrame:
         a = g[~g["is_b"]].groupby("user_id")["ts_us"].min()
-        if not len(a):
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "converted": pa.array([], pa.bool_())})
         b = g[g["is_b"]]
         first_a = b["user_id"].map(a)
         hit = b[(first_a.notna())
                 & (b["ts_us"] >= first_a)
                 & (b["ts_us"] <= first_a + window_s * 1_000_000)]
         users = a.index.to_numpy(dtype=np.int64)
-        return pa.table({
-            "user_id": pa.array(users, pa.int64()),
-            "converted": pa.array(
-                np.isin(users, hit["user_id"].to_numpy()), pa.bool_()),
-        })
+        return pd.DataFrame({
+            "user_id": users,
+            "converted": np.isin(users, hit["user_id"].to_numpy())})
 
-    return (ds.map_batches(prune, batch_format="pyarrow")
-            .groupby("_ub").map_groups(convert, batch_format="pandas"))
+    return cogroup(ds.map_batches(prune, batch_format="pyarrow"), "user_id",
+                   convert)
 
 
-def events_distinct_users_hourly(sf_dir: str, n_buckets: int = 32):
+def events_distinct_users_hourly(sf_dir: str):
     """Exact ``COUNT(DISTINCT user_id)`` per (event_type, 1h window).
 
     Distinct-count is not an algebraic aggregate — a naive
     ``groupby(key).count_distinct`` would haul every raw event row through
     the shuffle. Scale shape here: (1) each batch locally dedups
     (event_type, hour, user_id), so the shuffle moves at most one row per
-    distinct tuple per block; (2) rows hash-bucket by ``user_id`` so every
+    distinct tuple per block; (2) rows co-group by ``user_id`` so every
     user lands in exactly ONE bucket — per-bucket global dedup + size()
     therefore yields *disjoint* partial counts that simply sum; (3) a tiny
-    (event_type, hour) aggregate folds n_buckets partials per window.
+    (event_type, hour) aggregate folds one partial per bucket per window.
     Nothing ever groups a whole window's users into one task, so a hot
-    window (every user active in one hour) still spreads over n_buckets."""
+    window (every user active in one hour) still spreads over the buckets."""
     ds = _read(sf_dir, "events", ["event_type", "ts", "user_id"])
 
     def local_distinct(batch: pa.Table) -> pa.Table:
@@ -572,9 +556,6 @@ def events_distinct_users_hourly(sf_dir: str, n_buckets: int = 32):
             "hour": hour.to_pandas(),
             "user_id": batch.column("user_id").to_pandas(),
         }).drop_duplicates()
-        # user_id keys the bucket (not crc32 of the tuple): a user's rows
-        # must co-locate for the per-bucket dedup to be global
-        df["_ub"] = (df["user_id"].to_numpy() % n_buckets).astype(np.int64)
         return _arrow(df)
 
     def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
@@ -582,10 +563,12 @@ def events_distinct_users_hourly(sf_dir: str, n_buckets: int = 32):
                 .groupby(["event_type", "hour"], sort=False, as_index=False)
                 .agg(n_users=("user_id", "size")))
         part["n_users"] = part["n_users"].astype(np.int64)
-        return _arrow(part)
+        return part
 
-    out = (ds.map_batches(local_distinct, batch_format="pyarrow")
-           .groupby("_ub").map_groups(bucket_partials, batch_format="pandas")
+    # user_id keys the co-group (not the tuple): a user's rows must
+    # co-locate for the per-bucket dedup to be global
+    out = (cogroup(ds.map_batches(local_distinct, batch_format="pyarrow"),
+                   "user_id", bucket_partials)
            .groupby(["event_type", "hour"])
            .aggregate(Sum("n_users", alias_name="n_users")))
 
@@ -596,7 +579,7 @@ def events_distinct_users_hourly(sf_dir: str, n_buckets: int = 32):
     return out.map_batches(finalize, batch_format="pandas")
 
 
-def events_retention(sf_dir: str, n_buckets: int = 32):
+def events_retention(sf_dir: str):
     """Cohort retention: for each (cohort day = a user's first active day,
     active day) cell, the number of distinct users — the grid a D1/D7/D30
     retention report reads off.
@@ -607,7 +590,7 @@ def events_retention(sf_dir: str, n_buckets: int = 32):
     bucket the cohort is a vectorized transform('min') and the cell counts
     are partial sums over users that are DISJOINT across buckets (a user
     lives in exactly one), so the final (cohort_day, day) aggregate folds
-    n_buckets bounded partials per cell. Lexicographic min on '%Y-%m-%d'
+    one bounded partial per bucket per cell. Lexicographic min on '%Y-%m-%d'
     strings == chronological min."""
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -618,7 +601,6 @@ def events_retention(sf_dir: str, n_buckets: int = 32):
             "user_id": batch.column("user_id").to_pandas(),
             "day": day.to_pandas(),
         }).drop_duplicates()
-        df["_ub"] = (df["user_id"].to_numpy() % n_buckets).astype(np.int64)
         return _arrow(df)
 
     def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
@@ -627,10 +609,10 @@ def events_retention(sf_dir: str, n_buckets: int = 32):
                 .groupby(["cohort_day", "day"], sort=False, as_index=False)
                 .agg(n_users=("user_id", "size")))
         part["n_users"] = part["n_users"].astype(np.int64)
-        return _arrow(part)
+        return part
 
-    out = (ds.map_batches(local_distinct, batch_format="pyarrow")
-           .groupby("_ub").map_groups(bucket_partials, batch_format="pandas")
+    out = (cogroup(ds.map_batches(local_distinct, batch_format="pyarrow"),
+                   "user_id", bucket_partials)
            .groupby(["cohort_day", "day"])
            .aggregate(Sum("n_users", alias_name="n_users")))
     return out.map_batches(
@@ -717,30 +699,25 @@ def dedup_wordset_jaccard(sf_dir: str, threshold: float = 0.9):
     path = _t(sf_dir, "documents")
     n_docs = pq.ParquetFile(path).metadata.num_rows
     # EXACT vocabulary count via one tiny distributed pass (per-batch
-    # distinct words -> crc-bucketed global distinct -> disjoint partial
+    # distinct words -> word-keyed co-group distinct -> disjoint partial
     # counts). A bytes-based heuristic grows with CORPUS size, not
     # vocabulary, and would route bounded-vocab corpora to the quadratic
     # fallback at exactly the scale the dense plan exists for.
     def batch_words(df: pd.DataFrame) -> pa.Table:
         words = sorted(set().union(
             *(set(x.split(" ")) for x in df["text"]))) if len(df) else []
-        if not words:
-            return pa.table({"w": pa.array([], pa.string()),
-                             "_wb": pa.array([], pa.int64())})
-        out = pd.DataFrame({"w": words})
-        out["_wb"] = _crc_bucket(out["w"], 32)
-        return _arrow(out)
+        return pa.table({"w": pa.array(words, pa.string())})
 
-    def bucket_count(g: pd.DataFrame) -> pa.Table:
-        return _arrow(pd.DataFrame(
-            {"n": np.asarray([g["w"].nunique()], dtype=np.int64)}))
+    def bucket_count(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {"n": np.asarray([g["w"].nunique()], dtype=np.int64)})
 
     vocab = int(sum(
         b["n"].sum() for b in
-        (_read(sf_dir, "documents", ["text"])
-         .map_batches(batch_words, batch_format="pandas")
-         .groupby("_wb").map_groups(bucket_count, batch_format="pandas")
-         .iter_batches(batch_size=None, batch_format="pandas"))))
+        cogroup(_read(sf_dir, "documents", ["text"])
+                .map_batches(batch_words, batch_format="pandas"),
+                "w", bucket_count)
+        .iter_batches(batch_size=None, batch_format="pandas")))
     plan = os.environ.get("ASR_WORDSET_PLAN", "auto")
     oversized = n_docs * max(1, vocab) * 4 > 8_000_000_000
     if plan == "postings" or (plan == "auto" and oversized):
@@ -800,38 +777,22 @@ def dedup_wordset_jaccard(sf_dir: str, threshold: float = 0.9):
                      concurrency=max(2, min(8, n_cpus - 2)))
 
 
-_NGRAM_PAIRS_MEMO: dict = {}
-
-
 def dedup_ngram_jaccard(sf_dir: str, threshold: float = 0.5):
     """Near-dup pair table (see ``_ngram_pairs_compute`` for the plans).
 
     The pair table is a deterministic intermediate shared by every
     downstream dedup consumer (``dedup_clusters`` propagates components over
     it, ``dedup_filter`` drops its losers) — at 100 TB it is computed once
-    and persisted to Parquet, then re-read. In-process stand-in: memo the
-    tiny materialized pair Dataset (bounded by the near-dup count) keyed by
-    the corpus file identity + threshold, so one bench/driver session pays
-    the join once, not once per consumer."""
+    and persisted to Parquet, then re-read. In-process stand-in: the
+    session memo holds the tiny materialized pair Dataset (bounded by the
+    near-dup count) keyed by the corpus file identity + threshold, so one
+    bench/driver session pays the join once, not once per consumer."""
     p = _t(sf_dir, "documents")
     st = os.stat(p)
-    # the Ray session token (node id — fresh per ray.init; the job id is
-    # "01000000" in EVERY local session) is part of the key: a
-    # MaterializedDataset's object refs die with their session, so a memo
-    # hit from a previous ray.init would replay dead refs ("owner is
-    # unknown" on consume)
-    sess = ray.get_runtime_context().get_node_id() if ray.is_initialized() \
-        else None
-    key = (sess, os.path.abspath(p), st.st_size, st.st_mtime_ns, threshold)
-    hit = _NGRAM_PAIRS_MEMO.get(key) if sess is not None else None
-    if hit is None:
-        if len(_NGRAM_PAIRS_MEMO) > 8:
-            _NGRAM_PAIRS_MEMO.clear()
-        hit = _ngram_pairs_compute(sf_dir, threshold).materialize()
-        # computing initialized Ray if it wasn't; re-key under the live session
-        sess = ray.get_runtime_context().get_node_id()
-        _NGRAM_PAIRS_MEMO[(sess,) + key[1:]] = hit
-    return hit
+    return _session_memo(
+        ("ngram_pairs", os.path.abspath(p), st.st_size, st.st_mtime_ns,
+         threshold),
+        lambda: _ngram_pairs_compute(sf_dir, threshold).materialize())
 
 
 def _ngram_pairs_compute(sf_dir: str, threshold: float = 0.5):
@@ -908,9 +869,9 @@ def _ngram_pairs_compute(sf_dir: str, threshold: float = 0.5):
 
 def _token_df_agg(docs, tokens_of=None):
     """Distributed token document-frequency aggregate over ``docs(doc_id,
-    text)``: per-batch partial Counters -> int-bucketed co-group sum
+    text)``: per-batch partial Counters -> shingle-keyed co-group sum
     (Ray's sort-shuffle over ~1M distinct STRING keys dominated the whole
-    query — 18.4 s vs 6.9 s at sf0.1; 64 int buckets + a pandas sum inside
+    query — 18.4 s vs 6.9 s at sf0.1; int buckets + a pandas sum inside
     move the same rows but sort 8-byte ints). Materialized (shingle, df)
     dataset; the full vocabulary never lands on the driver."""
     from ..stages.dedup import ngram_df_partial
@@ -918,19 +879,13 @@ def _token_df_agg(docs, tokens_of=None):
     def df_partial(batch: pd.DataFrame) -> pd.DataFrame:
         return ngram_df_partial(batch, tokens_of=tokens_of)
 
-    def add_shingle_bucket(h: pd.DataFrame) -> pa.Table:
-        h["_sb"] = _crc_bucket(h["shingle"], 64)
-        return _arrow(h)
-
-    def sum_bucket(g: pd.DataFrame) -> pa.Table:
+    def sum_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("shingle", sort=False, as_index=False)["df"].sum()
         out["df"] = out["df"].astype(np.int64)
-        return _arrow(out)
+        return out
 
-    return (docs.map_batches(df_partial, batch_format="pandas")
-            .map_batches(add_shingle_bucket, batch_format="pandas")
-            .groupby("_sb").map_groups(sum_bucket, batch_format="pandas")
-            ).materialize()
+    return cogroup(docs.map_batches(df_partial, batch_format="pandas"),
+                   "shingle", sum_bucket).materialize()
 
 
 def _prefix_filter_pairs(docs, df_agg, n_docs: int, sim_fn, threshold: float,
@@ -957,15 +912,12 @@ def _prefix_filter_pairs(docs, df_agg, n_docs: int, sim_fn, threshold: float,
                          b.column("df").to_pylist()))
     df_ref = ray.put(heavy)
 
-    def postings(batch: pd.DataFrame) -> pd.DataFrame:
-        out = ngram_prefix_postings(batch, ray.get(df_ref), threshold,
-                                    cap=cap, tokens_of=tokens_of)
-        out["_sb"] = _crc_bucket(out["shingle"], 32)
-        return _arrow(out)
+    def postings(batch: pd.DataFrame) -> pa.Table:
+        return _arrow(ngram_prefix_postings(batch, ray.get(df_ref), threshold,
+                                            cap=cap, tokens_of=tokens_of))
 
-    cands = (docs.map_batches(postings, batch_format="pandas")
-             .groupby("_sb").map_groups(shingle_bucket_candidate_pairs,
-                                        batch_format="pandas")).materialize()
+    cands = cogroup(docs.map_batches(postings, batch_format="pandas"),
+                    "shingle", shingle_bucket_candidate_pairs).materialize()
     return _verify_candidate_pairs(docs, cands, sim_fn, threshold)
 
 
@@ -1058,23 +1010,16 @@ def dedup_minhash_lsh(sf_dir: str, verify_threshold: float = 0.7):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     bands = docs.map_batches(minhash_bands_batch, batch_format="pandas")
 
-    # coarse-bucket the exact band keys so the pair scan pays Ray's per-group
-    # cost ~32 times, not once per distinct (band_id, band_hash) key (tens of
-    # thousands of near-singleton keys — the round-3 bench regression)
-    def add_band_bucket(df: pd.DataFrame) -> pa.Table:
-        df["_bb"] = ((df["band_hash"].to_numpy(dtype=np.uint64)
-                      * np.uint64(8) + df["band_id"].to_numpy(dtype=np.uint64))
-                     % np.uint64(32)).astype(np.int64)
-        return _arrow(df)
-
-    # pairs are already deduped within each bucket (set in the group fn); a
-    # pair caught by two bands can still surface in two different buckets —
-    # those stragglers are dropped in the attach step, saving a whole
-    # pair-dedup shuffle (this chain is 3 all-to-alls total: band bucket,
-    # doc-bucket attach, pair-bucket verify)
-    cands = (bands.map_batches(add_band_bucket, batch_format="pandas")
-             .groupby("_bb").map_groups(band_bucket_candidate_pairs,
-                                        batch_format="pandas")).materialize()
+    # co-group the exact band keys so the pair scan pays Ray's per-group
+    # cost once per bucket, not once per distinct (band_id, band_hash) key
+    # (tens of thousands of near-singleton keys — the round-3 bench
+    # regression). Pairs are already deduped within each bucket (set in the
+    # group fn); a pair caught by two bands can still surface in two
+    # different buckets — those stragglers are dropped in the attach step,
+    # saving a whole pair-dedup shuffle (this chain is 3 all-to-alls total:
+    # band bucket, doc-bucket attach, pair-bucket verify)
+    cands = cogroup(bands, ["band_hash", "band_id"],
+                    band_bucket_candidate_pairs).materialize()
     return _verify_candidate_pairs(docs, cands, jaccard, verify_threshold)
 
 
@@ -1105,7 +1050,6 @@ def _verify_candidate_pairs(docs, cands, sim_fn, threshold: float):
             "jac": np.asarray([], dtype=np.float64)}))
     cand_id_arr = np.unique(np.concatenate(id_chunks)).astype(np.int64)
     ids_ref = ray.put(pa.array(cand_id_arr, pa.int64()))
-    n_buckets = 32
 
     # pair halves: (doc_id, doc_id_a, doc_id_b), two rows per pair —
     # distributed explode, no driver materialization
@@ -1132,10 +1076,6 @@ def _verify_candidate_pairs(docs, cands, sim_fn, threshold: float):
 
     texts_ds = docs.map_batches(filter_docs, batch_format="pyarrow")
 
-    def add_doc_bucket(df: pd.DataFrame) -> pa.Table:
-        df["_b"] = (df["doc_id"].to_numpy() % n_buckets).astype(np.int64)
-        return _arrow(df)
-
     def attach_texts(group: pd.DataFrame) -> pd.DataFrame:
         """One doc bucket: join pair-half rows to their doc's text. Also
         drops the duplicate halves of a pair caught by two bands whose keys
@@ -1147,14 +1087,7 @@ def _verify_candidate_pairs(docs, cands, sim_fn, threshold: float):
         out = pairs.merge(texts, on="doc_id", how="inner")
         return out[["doc_id", "doc_id_a", "doc_id_b", "text"]]
 
-    joined = (halves_ds.union(texts_ds)
-              .map_batches(add_doc_bucket, batch_format="pandas")
-              .groupby("_b").map_groups(attach_texts, batch_format="pandas"))
-
-    def add_pair_bucket(df: pd.DataFrame) -> pa.Table:
-        df["_pb"] = ((df["doc_id_a"].to_numpy() * 31 + df["doc_id_b"].to_numpy())
-                     % n_buckets).astype(np.int64)
-        return _arrow(df)
+    joined = cogroup([halves_ds, texts_ds], "doc_id", attach_texts)
 
     def verify_bucket(group: pd.DataFrame) -> pd.DataFrame:
         a_out, b_out, j_out = [], [], []
@@ -1174,8 +1107,7 @@ def _verify_candidate_pairs(docs, cands, sim_fn, threshold: float):
                              "doc_id_b": np.asarray(b_out, dtype=np.int64),
                              "jac": np.asarray(j_out, dtype=np.float64)})
 
-    return (joined.map_batches(add_pair_bucket, batch_format="pandas")
-            .groupby("_pb").map_groups(verify_bucket, batch_format="pandas"))
+    return cogroup(joined, ["doc_id_a", "doc_id_b"], verify_bucket)
 
 
 def dedup_common_spans(sf_dir: str, width: int = 64, stride: int = 16):
@@ -1188,9 +1120,9 @@ def dedup_common_spans(sf_dir: str, width: int = 64, stride: int = 16):
 
     Scale shape: per-batch window hashing with a within-doc seen-set emits
     fixed-width (hash, doc_id) rows — bounded by corpus_chars/stride, never
-    quadratic, and no document text ever shuffles; one int-bucketed groupby
-    (crc32(hash) % 32 — Ray pays per bucket, not per distinct span) counts
-    docs per hash and keeps the >=2 survivors."""
+    quadratic, and no document text ever shuffles; one hash-keyed co-group
+    (Ray pays per bucket, not per distinct span) counts docs per hash and
+    keeps the >=2 survivors."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def windows(df: pd.DataFrame) -> pa.Table:
@@ -1206,31 +1138,22 @@ def dedup_common_spans(sf_dir: str, width: int = 64, stride: int = 16):
                     seen.add(h)
                     hashes.append(h)
                     doc_ids.append(doc_id)
-        # an all-short-text batch yields zero windows, and pandas types an
-        # empty column as float64/null — a block whose schema conflicts with
-        # its string siblings downstream; emit the explicit schema instead
-        if not hashes:
-            return pa.table({"h": pa.array([], pa.string()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "_hb": pa.array([], pa.int64())})
-        out = pd.DataFrame({
-            "h": hashes,
-            "doc_id": np.asarray(doc_ids, dtype=np.int64),
-        })
-        out["_hb"] = _crc_bucket(out["h"], 32)
-        return _arrow(out)
+        # explicit types: an all-short-text batch yields zero windows, and
+        # pandas would type the empty column float64/null
+        return pa.table({"h": pa.array(hashes, pa.string()),
+                         "doc_id": pa.array(doc_ids, pa.int64())})
 
-    def count_bucket(g: pd.DataFrame) -> pa.Table:
+    def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # (h, doc_id) rows are already distinct (whole docs never split
         # across batches; the seen-set dedups within one)
         agg = g.groupby("h", sort=False, as_index=False) \
             .agg(n_docs=("doc_id", "size"))
         agg = agg[agg["n_docs"] >= 2].reset_index(drop=True)
         agg["n_docs"] = agg["n_docs"].astype(np.int64)
-        return _arrow(agg)
+        return agg
 
-    return (docs.map_batches(windows, batch_format="pandas")
-            .groupby("_hb").map_groups(count_bucket, batch_format="pandas"))
+    return cogroup(docs.map_batches(windows, batch_format="pandas"), "h",
+                   count_bucket)
 
 
 def dedup_simhash(sf_dir: str, max_hamming: int = 3):
@@ -1281,7 +1204,6 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
             "doc_id": np.asarray([], dtype=np.int64),
             "canonical_id": np.asarray([], dtype=np.int64)}))
 
-    n_buckets = 32
     sentinel = np.int64(2**62)
 
     def to_edges(df: pd.DataFrame) -> pd.DataFrame:
@@ -1292,8 +1214,7 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
         # shuffle is ~12x faster on arrow)
         return _arrow(pd.DataFrame({"node": node,
                                     "peer": np.concatenate([b, a]),
-                                    "label": np.full(len(node), sentinel),
-                                    "_b": node % n_buckets}))
+                                    "label": np.full(len(node), sentinel)}))
 
     edges = pairs.map_batches(to_edges, batch_format="pandas").materialize()
 
@@ -1303,8 +1224,7 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
         return _arrow(pd.DataFrame({
             "node": node,
             "peer": np.full(len(node), -1, dtype=np.int64),
-            "label": np.minimum(lab, node) if clip else lab,
-            "_b": node % n_buckets}))
+            "label": np.minimum(lab, node) if clip else lab}))
 
     labels = (edges.groupby("node").aggregate(Min("peer", alias_name="label"))
               .map_batches(lambda df: shape_labels(df, True),
@@ -1320,8 +1240,7 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
         nodes = np.concatenate([e["peer"].to_numpy(), lab.index.to_numpy()])
         labs = np.concatenate([lab.loc[e["node"]].to_numpy(), lab.to_numpy()])
         out = pd.DataFrame({"node": nodes, "label": labs})
-        return _arrow(out.groupby("node", sort=False,
-                                  as_index=False)["label"].min())
+        return out.groupby("node", sort=False, as_index=False)["label"].min()
 
     prev = label_sum(labels)
     converged = False
@@ -1329,8 +1248,7 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
     # would return wrong canonical_ids on a deep chain (ADVICE r3) — so the
     # backstop is generous AND non-convergence is an error, never a result
     for _ in range(4096):
-        cand = (edges.union(labels)
-                .groupby("_b").map_groups(propagate, batch_format="pandas"))
+        cand = cogroup([edges, labels], "node", propagate)
         labels = (cand.groupby("node").aggregate(Min("label", alias_name="label"))
                   .map_batches(lambda df: shape_labels(df, False),
                                batch_format="pandas").materialize())
@@ -1380,15 +1298,15 @@ def dedup_filter(sf_dir: str, threshold: float = 0.5):
     return docs.map_batches(keep, batch_format="pyarrow")
 
 
-def events_topk_hourly(sf_dir: str, k: int = 3, n_buckets: int = 32):
+def events_topk_hourly(sf_dir: str, k: int = 3):
     """Windowed top-k: the k highest-value events per tumbling hour.
 
     Composition of the window-key derivation (arrow ``floor_temporal`` +
     ``strftime``, no per-row python) with the partial-top-k pattern: each
     batch keeps its own top-k per hour under the (value, event_id) total
-    order, and the final merge groups by a crc32 HOUR BUCKET (bounded group
-    count — a raw groupby(hour) would pay the per-group map_groups call once
-    per distinct hour) with a vectorized per-hour head inside."""
+    order, and the final merge co-groups by hour (bounded group count — a
+    raw groupby(hour) would pay the per-group map_groups call once per
+    distinct hour) with a vectorized per-hour head inside."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1400,7 +1318,6 @@ def events_topk_hourly(sf_dir: str, k: int = 3, n_buckets: int = 32):
         })
         g = (df.sort_values(["value", "event_id"], ascending=False, kind="stable")
              .groupby("hour", sort=False).head(k))
-        g["_b"] = _crc_bucket(g["hour"], n_buckets)
         return _arrow(g)
 
     def final(group: pd.DataFrame) -> pd.DataFrame:
@@ -1409,8 +1326,8 @@ def events_topk_hourly(sf_dir: str, k: int = 3, n_buckets: int = 32):
              .groupby("hour", sort=False).head(k))
         return g[["hour", "event_id", "value"]]
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_b").map_groups(final, batch_format="pandas"))
+    return cogroup(ds.map_batches(partial, batch_format="pyarrow"), "hour",
+                   final)
 
 
 # -- text analysis ---------------------------------------------------------
@@ -1608,7 +1525,7 @@ def docs_vocab_growth(sf_dir: str, n_buckets: int = 64):
     vocabularies and detects corpus drift.
 
     Scale shape: composition of the two bounded primitives the repo
-    already proves out — (1) term first-occurrence is a token-bucketed
+    already proves out — (1) term first-occurrence is a term-keyed co-group
     ``min(doc_id)`` per term (the vocabulary never leaves its bucket,
     docs_top_terms' rule) folded into per-bucket (first_doc, n_new)
     histogram partials; (2) the cumulative curve is the pack_sequences
@@ -1625,8 +1542,7 @@ def docs_vocab_growth(sf_dir: str, n_buckets: int = 64):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     tok_empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "w": pa.array([], pa.string()),
-                          "_kb": pa.array([], pa.int64())})
+                          "w": pa.array([], pa.string())})
 
     def explode_distinct(df: pd.DataFrame) -> pa.Table:
         if not len(df):
@@ -1636,18 +1552,16 @@ def docs_vocab_growth(sf_dir: str, n_buckets: int = 64):
         out = pd.DataFrame({
             "doc_id": np.repeat(df["doc_id"].to_numpy(dtype=np.int64), lens),
             "w": np.concatenate(toks.to_numpy())})
-        out["_kb"] = _crc_bucket(out["w"], n_buckets)
         return _arrow(out)
 
-    def first_docs(g: pd.DataFrame) -> pa.Table:
+    def first_docs(g: pd.DataFrame) -> pd.DataFrame:
         counts = g.groupby("w", sort=False)["doc_id"].min().value_counts()
-        return pa.table({
-            "doc_id": pa.array(counts.index.to_numpy(dtype=np.int64),
-                               pa.int64()),
-            "n_new": pa.array(counts.to_numpy(dtype=np.int64), pa.int64())})
+        return pd.DataFrame({
+            "doc_id": counts.index.to_numpy(dtype=np.int64),
+            "n_new": counts.to_numpy(dtype=np.int64)})
 
-    hist = docs.map_batches(explode_distinct, batch_format="pandas") \
-        .groupby("_kb").map_groups(first_docs, batch_format="pandas")
+    hist = cogroup(docs.map_batches(explode_distinct, batch_format="pandas"),
+                   "w", first_docs)
 
     ids = _read(sf_dir, "documents", ["doc_id"])
     base = ids.map_batches(
@@ -1745,7 +1659,7 @@ def docs_weighted_sample(sf_dir: str, k: int = 20):
     return rd.from_pandas(final(merged))
 
 
-def docs_postings(sf_dir: str, n_buckets: int = 64):
+def docs_postings(sf_dir: str):
     """Inverted-index build over the documents table: per term, document
     frequency, total term frequency, and the first posting (min doc_id) —
     the index construction primitive behind retrieval / dedup-prefilter
@@ -1753,7 +1667,7 @@ def docs_postings(sf_dir: str, n_buckets: int = 64):
 
     Scale shape: docs_tfidf's counts-in-place trick — one corpus pass
     explodes exact per-batch (doc_id, term, tf) rows (a doc lives wholly
-    in one row), ONE crc(term) bucket shuffle co-locates each term's
+    in one row), ONE term-keyed co-group co-locates each term's
     postings, and df/tf/first resolve vectorized inside the bucket (rows
     per term == df, no second distinct pass, no vocabulary broadcast)."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -1762,8 +1676,7 @@ def docs_postings(sf_dir: str, n_buckets: int = 64):
         if not len(df):
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "term": pa.array([], pa.string()),
-                             "tf": pa.array([], pa.int64()),
-                             "_tb": pa.array([], pa.int64())})
+                             "tf": pa.array([], pa.int64())})
         toks = df["text"].str.split(" ")
         flat = pd.DataFrame({
             "doc_id": df["doc_id"].repeat(toks.str.len())
@@ -1774,22 +1687,17 @@ def docs_postings(sf_dir: str, n_buckets: int = 64):
         tf = flat.groupby(["doc_id", "term"], sort=False, as_index=False) \
             .agg(tf=("term", "size"))
         tf["tf"] = tf["tf"].astype(np.int64)
-        tf["_tb"] = _crc_bucket(tf["term"], n_buckets)
         return _arrow(tf)
 
-    def fold_bucket(g: pd.DataFrame) -> pa.Table:
+    def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("term", as_index=False).agg(
             df=("doc_id", "size"), tf=("tf", "sum"),
             first_doc=("doc_id", "min"))
-        return pa.table({
-            "term": pa.array(s["term"].to_numpy(), pa.string()),
-            "df": pa.array(s["df"].to_numpy(dtype=np.int64), pa.int64()),
-            "tf": pa.array(s["tf"].to_numpy(dtype=np.int64), pa.int64()),
-            "first_doc": pa.array(s["first_doc"].to_numpy(dtype=np.int64),
-                                  pa.int64())})
+        return s.astype({"df": np.int64, "tf": np.int64,
+                         "first_doc": np.int64})
 
-    return docs.map_batches(explode_tf, batch_format="pandas") \
-        .groupby("_tb").map_groups(fold_bucket, batch_format="pandas")
+    return cogroup(docs.map_batches(explode_tf, batch_format="pandas"),
+                   "term", fold_bucket)
 
 
 def text_normalize(sf_dir: str):
@@ -1830,18 +1738,18 @@ def text_normalize(sf_dir: str):
     return ds.map_batches(norm, batch_format="pyarrow")
 
 
-def docs_tfidf(sf_dir: str, k: int = 3, n_buckets: int = 64):
+def docs_tfidf(sf_dir: str, k: int = 3):
     """Per-document top-k TF-IDF terms over the documents table (the
     keyword-extraction / relevance-weighting primitive; tf = in-doc token
     count, idf = ln(N/df), rank = (tfidf DESC, term ASC) row_number).
 
-    Scale shape — TWO bounded hash shuffles, no broadcast of the
+    Scale shape — TWO bounded co-groups, no broadcast of the
     vocabulary: (1) one corpus pass explodes (doc_id, term, tf) rows
     (vectorized pandas groupby per batch — a doc lives wholly in one row,
-    so batch-local tf is exact) keyed by term bucket; since every row of a
+    so batch-local tf is exact) co-grouped by term; since every row of a
     term lands in its bucket, df(term) is just the bucket-local row count
     per term — no separate df pass, no term->df join; the group attaches
-    tfidf in place. (2) the scored rows re-key by doc bucket and each
+    tfidf in place. (2) the scored rows co-group by doc and each
     doc's top-k resolves inside its bucket. idf uses ONE math.log call per
     DISTINCT df value (libm bit-parity with the DuckDB oracle's ln — the
     same last-ulp discipline as the kg idf kernel)."""
@@ -1856,8 +1764,7 @@ def docs_tfidf(sf_dir: str, k: int = 3, n_buckets: int = 64):
         if not len(df):
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "term": pa.array([], pa.string()),
-                             "tf": pa.array([], pa.int64()),
-                             "_tb": pa.array([], pa.int64())})
+                             "tf": pa.array([], pa.int64())})
         toks = df["text"].str.split(" ")
         flat = pd.DataFrame({
             "doc_id": df["doc_id"].repeat(toks.str.len()).to_numpy(dtype=np.int64),
@@ -1866,35 +1773,32 @@ def docs_tfidf(sf_dir: str, k: int = 3, n_buckets: int = 64):
         tf = flat.groupby(["doc_id", "term"], sort=False, as_index=False) \
             .agg(tf=("term", "size"))
         tf["tf"] = tf["tf"].astype(np.int64)
-        tf["_tb"] = _crc_bucket(tf["term"], n_buckets)
         return _arrow(tf)
 
-    def score_bucket(g: pd.DataFrame) -> pa.Table:
+    def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # one row per (doc, term) -> bucket-local rows per term == df(term)
         df_per_term = g.groupby("term", sort=False)["doc_id"].transform("size")
         uniq = np.unique(df_per_term.to_numpy(dtype=np.int64))
         log_of = {int(d): math.log(n_docs / d) for d in uniq}
         idf = df_per_term.map(log_of).to_numpy(dtype=np.float64)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "doc_id": g["doc_id"].to_numpy(dtype=np.int64),
             "term": g["term"].to_numpy(),
             "tfidf": g["tf"].to_numpy(dtype=np.int64) * idf,
         })
-        out["_db"] = (out["doc_id"].to_numpy() % n_buckets).astype(np.int64)
-        return _arrow(out)
 
-    def topk_bucket(g: pd.DataFrame) -> pa.Table:
+    def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
         top = (g.sort_values(["doc_id", "tfidf", "term"],
                              ascending=[True, False, True], kind="stable")
                .groupby("doc_id", sort=False).head(k).reset_index(drop=True))
         top["rank"] = top.groupby("doc_id", sort=False).cumcount() + 1
         top["tfidf"] = np.round(top["tfidf"].to_numpy(), 6)
         top["rank"] = top["rank"].astype(np.int64)
-        return _arrow(top[["doc_id", "term", "tfidf", "rank"]])
+        return top[["doc_id", "term", "tfidf", "rank"]]
 
-    return (docs.map_batches(explode_tf, batch_format="pandas")
-            .groupby("_tb").map_groups(score_bucket, batch_format="pandas")
-            .groupby("_db").map_groups(topk_bucket, batch_format="pandas"))
+    scored = cogroup(docs.map_batches(explode_tf, batch_format="pandas"),
+                     "term", score_bucket)
+    return cogroup(scored, "doc_id", topk_bucket)
 
 
 def stratified_sample(sf_dir: str, k: int = 20):
@@ -1927,15 +1831,15 @@ def stratified_sample(sf_dir: str, k: int = 20):
             .groupby("lang").map_groups(final, batch_format="pandas"))
 
 
-def docs_top_terms(sf_dir: str, k: int = 10, n_buckets: int = 64):
+def docs_top_terms(sf_dir: str, k: int = 10):
     """Per-language top-k tokens by global count — the vocabulary-inspection
     primitive (stopword discovery, tokenizer sanity, corpus drift).
 
     Exact two-level top-k: (1) per-batch partial (lang, token) counts,
-    token-bucketed so every token's total lands wholly in one bucket; (2)
-    inside each bucket: sum, then keep only that bucket's top-k candidates
-    per lang (provably a superset of the global winners that live there);
-    (3) a final tiny per-lang merge ranks <= k * n_buckets candidates under
+    co-grouped by token so every token's total lands wholly in one bucket;
+    (2) inside each bucket: sum, then keep only that bucket's top-k
+    candidates per lang (provably a superset of the global winners that
+    live there); (3) a final tiny per-lang merge ranks k per bucket under
     the (count DESC, token ASC) total order. The full vocabulary never
     leaves its bucket; the driver sees nothing."""
     ds = _read(sf_dir, "documents", ["lang", "text"])
@@ -1944,8 +1848,7 @@ def docs_top_terms(sf_dir: str, k: int = 10, n_buckets: int = 64):
         if not len(df):  # np.concatenate needs >= 1 array (ADVICE r4)
             return pa.table({"lang": pa.array([], pa.string()),
                              "tok": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64()),
-                             "_tb": pa.array([], pa.int64())})
+                             "n": pa.array([], pa.int64())})
         toks = df["text"].str.split(" ")
         flat = pd.DataFrame({
             "lang": df["lang"].repeat(toks.str.len()),
@@ -1954,16 +1857,15 @@ def docs_top_terms(sf_dir: str, k: int = 10, n_buckets: int = 64):
         part = flat.groupby(["lang", "tok"], sort=False, as_index=False) \
             .agg(n=("tok", "size"))
         part["n"] = part["n"].astype(np.int64)
-        part["_tb"] = _crc_bucket(part["tok"], n_buckets)
         return _arrow(part)
 
-    def bucket_topk(g: pd.DataFrame) -> pa.Table:
+    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby(["lang", "tok"], sort=False, as_index=False)["n"].sum()
         tot["n"] = tot["n"].astype(np.int64)
         cand = (tot.sort_values(["n", "tok"], ascending=[False, True],
                                 kind="stable")
                 .groupby("lang", sort=False).head(k))
-        return _arrow(cand[["lang", "tok", "n"]])
+        return cand[["lang", "tok", "n"]]
 
     def final_rank(g: pd.DataFrame) -> pa.Table:
         top = g.sort_values(["n", "tok"], ascending=[False, True],
@@ -1971,8 +1873,8 @@ def docs_top_terms(sf_dir: str, k: int = 10, n_buckets: int = 64):
         top["rank"] = np.arange(1, len(top) + 1, dtype=np.int64)
         return _arrow(top[["lang", "tok", "n", "rank"]])
 
-    return (ds.map_batches(partial_counts, batch_format="pandas")
-            .groupby("_tb").map_groups(bucket_topk, batch_format="pandas")
+    return (cogroup(ds.map_batches(partial_counts, batch_format="pandas"),
+                    "tok", bucket_topk)
             .groupby("lang").map_groups(final_rank, batch_format="pandas"))
 
 
@@ -2806,24 +2708,23 @@ def kg_region_degree(sf_dir: str):
     ds = rd.read_parquet(_kg_artifacts(sf_dir)["triples"],
                          columns=["pred", "obj"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def partial(df: pd.DataFrame) -> pa.Table:
         part = df.groupby(["obj", "pred"], sort=False, as_index=False) \
             .agg(n=("pred", "size"))
         part["n"] = part["n"].astype(np.int64)
-        # int-bucket the shuffle key: Ray's sort-shuffle over tens of
-        # thousands of distinct STRING (obj, pred) keys dominated the query
-        # (11.8 s vs ~1 s); 32 int buckets + a pandas sum inside move the
-        # same partial rows but sort 8-byte ints
-        part["_b"] = _crc_bucket(part["obj"], 32)
         return _arrow(part)
 
     def sum_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["obj", "pred"], sort=False, as_index=False)["n"].sum()
         out["n"] = out["n"].astype(np.int64)
-        return _arrow(out)
+        return out
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("_b").map_groups(sum_bucket, batch_format="pandas"))
+    # co-group by obj: Ray's sort-shuffle over tens of thousands of distinct
+    # STRING (obj, pred) keys dominated the query (11.8 s vs ~1 s); int
+    # buckets + a pandas sum inside move the same partial rows but sort
+    # 8-byte ints
+    return cogroup(ds.map_batches(partial, batch_format="pandas"), "obj",
+                   sum_bucket)
 
 
 def _build_partof_closure(*tables):
@@ -2878,20 +2779,27 @@ def kg_part_of_closure(sf_dir: str):
 
 
 def _partof_closure_ref(sf_dir: str):
-    """ObjectRef of the (subj, ancestor, depth) closure table — the pruned
-    triple read + per-batch arrow distinct is the only stage touching the
-    stream; the bounded edge partials flow as arrow refs into one task."""
+    """ObjectRef of the (subj, ancestor, depth) closure table, built once
+    per session and shared by ``kg_part_of_closure`` and
+    ``kg_located_at_rollup`` — the pruned triple read + per-batch arrow
+    distinct is the only stage touching the stream; the bounded edge
+    partials flow as arrow refs into one task."""
     _ensure_kg_naive(sf_dir)
-    ds = rd.read_parquet(_kg_artifacts(sf_dir)["triples"],
-                         columns=["subj", "pred", "obj"])
 
-    def edge_partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t.column("pred"), "part_of"))
-        return t.select(["subj", "obj"]).group_by(["subj", "obj"]) \
-            .aggregate([])
+    def build():
+        ds = rd.read_parquet(_kg_artifacts(sf_dir)["triples"],
+                             columns=["subj", "pred", "obj"])
 
-    edges = ds.map_batches(edge_partial, batch_format="pyarrow").materialize()
-    return _build_partof_closure_task.remote(*edges.to_arrow_refs())
+        def edge_partial(t: pa.Table) -> pa.Table:
+            t = t.filter(pc.equal(t.column("pred"), "part_of"))
+            return t.select(["subj", "obj"]).group_by(["subj", "obj"]) \
+                .aggregate([])
+
+        edges = ds.map_batches(edge_partial,
+                               batch_format="pyarrow").materialize()
+        return _build_partof_closure_task.remote(*edges.to_arrow_refs())
+
+    return _session_memo(("partof_closure", os.path.abspath(sf_dir)), build)
 
 
 def _rollup_located_at(closure, *direct_partials):
@@ -2946,7 +2854,7 @@ def kg_located_at_rollup(sf_dir: str):
         closure_ref, *direct.to_arrow_refs())))
 
 
-def _cooccur_edges_compute(sf_dir: str, n_buckets: int = 64):
+def _cooccur_edges_compute(sf_dir: str):
     """Entity co-occurrence edges over the materialized triple table: for
     every pair of distinct region entities MENTIONED in the same
     conversation, the number of conversations linking them — the
@@ -2954,10 +2862,10 @@ def _cooccur_edges_compute(sf_dir: str, n_buckets: int = 64):
     located_at/part_of edges (relatedness priors, disambiguation context).
 
     Scale shape: pruned column read of the partitioned triples parquet ->
-    per-batch local distinct (conv_id, obj) keyed by conv bucket -> ONE
-    co-group per conv bucket where each conversation's pair expansion runs
-    (quadratic only in a single conv's distinct entities — bounded by conv
-    length) and pair counts pre-aggregate -> one small pair-bucketed sum.
+    per-batch local distinct (conv_id, obj) -> ONE conv-keyed co-group
+    where each conversation's pair expansion runs (quadratic only in a
+    single conv's distinct entities — bounded by conv length) and pair
+    counts pre-aggregate -> one small pair-keyed co-group sum.
     The triple stream never materializes; pair rows are the only second
     shuffle unit. Oracle = the same join over the naive single-process
     twin's independently-built triples."""
@@ -2970,7 +2878,6 @@ def _cooccur_edges_compute(sf_dir: str, n_buckets: int = 64):
         df = pd.DataFrame({"conv_id": t.column("conv_id").to_pandas(),
                            "obj": t.column("obj").to_pandas()}) \
             .drop_duplicates()
-        df["_cb"] = _crc_bucket(df["conv_id"], n_buckets)
         return _arrow(df)
 
     def conv_pairs(g: pd.DataFrame) -> pa.Table:
@@ -2990,8 +2897,7 @@ def _cooccur_edges_compute(sf_dir: str, n_buckets: int = 64):
         if n_pairs == 0:
             return pa.table({"obj_a": pa.array([], pa.string()),
                              "obj_b": pa.array([], pa.string()),
-                             "n_convs": pa.array([], pa.int64()),
-                             "_pb": pa.array([], pa.int64())})
+                             "n_convs": pa.array([], pa.int64())})
         b_idx = np.repeat(np.arange(len(conv)), loc)
         a_off = np.arange(n_pairs) - np.repeat(np.cumsum(loc) - loc, loc)
         a_idx = np.repeat(np.repeat(starts, lens), loc) + a_off
@@ -3001,18 +2907,17 @@ def _cooccur_edges_compute(sf_dir: str, n_buckets: int = 64):
         part = pairs.groupby(["obj_a", "obj_b"], sort=False,
                              as_index=False).agg(n_convs=("obj_a", "size"))
         part["n_convs"] = part["n_convs"].astype(np.int64)
-        part["_pb"] = _crc_bucket(part["obj_a"] + "\x00" + part["obj_b"], 32)
-        return _arrow(part)
+        return part
 
-    def sum_pairs(g: pd.DataFrame) -> pa.Table:
+    def sum_pairs(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["obj_a", "obj_b"], sort=False,
                         as_index=False)["n_convs"].sum()
         out["n_convs"] = out["n_convs"].astype(np.int64)
-        return _arrow(out)
+        return out
 
-    return (ds.map_batches(local_distinct, batch_format="pyarrow")
-            .groupby("_cb").map_groups(conv_pairs, batch_format="pandas")
-            .groupby("_pb").map_groups(sum_pairs, batch_format="pandas"))
+    pairs = cogroup(ds.map_batches(local_distinct, batch_format="pyarrow"),
+                    "conv_id", conv_pairs)
+    return cogroup(pairs, ["obj_a", "obj_b"], sum_pairs)
 
 
 def kg_entity_cooccurrence(sf_dir: str):
@@ -3150,16 +3055,15 @@ def region_dic_export(sf_dir: str):
     return distinct.map_batches(add_len, batch_format="pandas")
 
 
-def range_join_events_orders(sf_dir: str, window_days: int = 30,
-                             n_buckets: int = 64):
+def range_join_events_orders(sf_dir: str, window_days: int = 30):
     """Bounded-interval (range) join — the second temporal-join operator Ray
     Data lacks natively, next to ``asof_join_events_orders``: for each
     event, the COUNT of the same user's orders placed within the trailing
     window [ts - window, ts] (trailing activity features for a user at
     event time).
 
-    Shape: co-bucket both sides by ``user_id`` into one unified-schema
-    union (a key never spans buckets), then ONE vectorized in-bucket pass —
+    Shape: co-group both sides by ``user_id`` in one unified schema (a
+    key never spans buckets), then ONE vectorized in-bucket pass —
     per-user sorted order times + two ``searchsorted`` probes per event
     give the interval count without materializing the event x order pair
     expansion. Partitioning assumption: per-user activity fits a bucket
@@ -3167,40 +3071,31 @@ def range_join_events_orders(sf_dir: str, window_days: int = 30,
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
 
-    # tag+bucket emit ARROW blocks: this union feeds the groupby sort-
-    # shuffle, which takes a ~12x-slower per-row python path on pandas
-    # blocks (see _arrow)
-    def tag_events(df: pd.DataFrame) -> pa.Table:
-        out = pd.DataFrame({
-            "_side": "e", "event_id": df["event_id"].astype("int64"),
+    def event_side(df: pd.DataFrame) -> pa.Table:
+        return _arrow(pd.DataFrame({
+            "event_id": df["event_id"].astype("int64"),
             "user_id": df["user_id"].astype("int64"),
             "ts_us": df["ts"].astype("datetime64[us]").astype("int64"),
-        })
-        out["_b"] = (out["user_id"].to_numpy() % n_buckets).astype(np.int64)
-        return _arrow(out)
+        }))
 
-    def tag_orders(df: pd.DataFrame) -> pa.Table:
-        out = pd.DataFrame({
-            "_side": "o", "event_id": np.int64(-1),
+    def order_side(df: pd.DataFrame) -> pa.Table:
+        return _arrow(pd.DataFrame({
+            "event_id": np.int64(-1),
             "user_id": df["o_custkey"].astype("int64"),
             "ts_us": df["o_orderdate"].astype("datetime64[us]")
                      .astype("int64"),
-        })
-        out["_b"] = (out["user_id"].to_numpy() % n_buckets).astype(np.int64)
-        return _arrow(out)
+        }))
 
-    both = (events.map_batches(tag_events, batch_format="pandas")
-            .union(orders.map_batches(tag_orders, batch_format="pandas")))
     win_us = window_days * 86_400 * 1_000_000
 
     def range_group(group: pd.DataFrame) -> pd.DataFrame:
-        left = group[group["_side"] == "e"]
+        left = group[group["_side"] == 0]
         if not len(left):
             return pd.DataFrame({
                 "event_id": np.asarray([], dtype=np.int64),
                 "user_id": np.asarray([], dtype=np.int64),
                 "n_orders": np.asarray([], dtype=np.int64)})
-        right = group[group["_side"] == "o"] \
+        right = group[group["_side"] == 1] \
             .sort_values(["user_id", "ts_us"], kind="stable")
         r_user = right["user_id"].to_numpy()
         r_ts = right["ts_us"].to_numpy()
@@ -3217,7 +3112,9 @@ def range_join_events_orders(sf_dir: str, window_days: int = 30,
             "n_orders": (hi_idx - lo_idx).astype(np.int64),
         })
 
-    return both.groupby("_b").map_groups(range_group, batch_format="pandas")
+    return cogroup([events.map_batches(event_side, batch_format="pandas"),
+                    orders.map_batches(order_side, batch_format="pandas")],
+                   "user_id", range_group)
 
 
 def _lex_searchsorted(r_key: np.ndarray, r_val: np.ndarray,
@@ -3253,45 +3150,35 @@ def _lex_searchsorted(r_key: np.ndarray, r_val: np.ndarray,
 def asof_join_events_orders(sf_dir: str):
     """As-of join (an operator Ray Data lacks natively): for each event, the
     latest order of the same customer placed at-or-before the event time.
-    Shape: co-bucket both sides by key, sort within the bucket, pd.merge_asof
+    Shape: co-group both sides by key, sort within the bucket, pd.merge_asof
     per group — partitioning assumption: one key never spans buckets."""
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
 
-    # unify both sides into ONE schema before union (mixed-schema blocks break
-    # the grouped pandas view): (side, event_id, o_orderkey, user_id, ts)
-    def tag_events(df: pd.DataFrame) -> pd.DataFrame:
+    # both sides share ONE schema (the co-group unions them):
+    # (event_id, o_orderkey, user_id, ts)
+    def event_side(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
-            "_side": "e", "event_id": df["event_id"].astype("int64"),
+            "event_id": df["event_id"].astype("int64"),
             "o_orderkey": np.int64(-1),
             "user_id": df["user_id"].astype("int64"), "ts": df["ts"],
         })
 
-    def tag_orders(df: pd.DataFrame) -> pd.DataFrame:
+    def order_side(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
-            "_side": "o", "event_id": np.int64(-1),
+            "event_id": np.int64(-1),
             "o_orderkey": df["o_orderkey"].astype("int64"),
             "user_id": df["o_custkey"].astype("int64"), "ts": df["o_orderdate"],
         })
 
-    n_buckets = 64
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["_b"] = (df["user_id"].to_numpy() % n_buckets).astype(np.int64)
-        return df
-
-    both = (events.map_batches(tag_events, batch_format="pandas")
-            .union(orders.map_batches(tag_orders, batch_format="pandas"))
-            .map_batches(add_bucket, batch_format="pandas"))
-
     def asof_group(group: pd.DataFrame) -> pd.DataFrame:
         # one USER bucket (bounded group count at scale, vs one Python group
         # call per user): merge_asof with by=user_id inside the bucket
-        left = group[group["_side"] == "e"][["event_id", "user_id", "ts"]] \
+        left = group[group["_side"] == 0][["event_id", "user_id", "ts"]] \
             .sort_values("ts", kind="stable")
         # secondary sort on o_orderkey: merge_asof takes the LAST row <= key
         # within the by-group, so ties on ts resolve to the max order key
-        right = group[group["_side"] == "o"][["o_orderkey", "user_id", "ts"]] \
+        right = group[group["_side"] == 1][["o_orderkey", "user_id", "ts"]] \
             .sort_values(["ts", "o_orderkey"], kind="stable")
         if len(left) == 0:
             return pd.DataFrame({"event_id": np.asarray([], dtype=np.int64),
@@ -3304,7 +3191,9 @@ def asof_join_events_orders(sf_dir: str):
         merged["user_id"] = merged["user_id"].astype("int64")
         return merged[["event_id", "user_id", "o_orderkey"]]
 
-    return both.groupby("_b").map_groups(asof_group, batch_format="pandas")
+    return cogroup([events.map_batches(event_side, batch_format="pandas"),
+                    orders.map_batches(order_side, batch_format="pandas")],
+                   "user_id", asof_group)
 
 
 def _build_segment_map(path: str) -> dict:
@@ -3319,7 +3208,7 @@ def _build_segment_map(path: str) -> dict:
 _build_segment_map_task = ray.remote(_build_segment_map)
 
 
-def orders_priority_semijoin(sf_dir: str, n_buckets: int = 32):
+def orders_priority_semijoin(sf_dir: str):
     """TPC-H Q4-shaped LARGE x LARGE semi-join: orders with at least one
     lineitem shipped after the order date, counted per order priority.
     The one join shape the other operators don't cover — both sides too
@@ -3329,7 +3218,7 @@ def orders_priority_semijoin(sf_dir: str, n_buckets: int = 32):
     to max(l_shipdate) per l_orderkey (EXISTS(shipdate > d) ==
     max(shipdate) > d, and max is associative — the classic combiner), so
     only <= |distinct orderkeys| fixed-width rows shuffle; both sides
-    union into ONE orderkey-bucketed co-group where a pandas merge + date
+    meet in ONE orderkey-keyed co-group where a pandas merge + date
     compare + per-priority partial count run vectorized; a final tiny
     groupby(priority) sums the partials. No side is ever collected or
     broadcast."""
@@ -3338,15 +3227,12 @@ def orders_priority_semijoin(sf_dir: str, n_buckets: int = 32):
     items = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
     def order_side(df: pd.DataFrame) -> pa.Table:
-        out = pd.DataFrame({
+        return _arrow(pd.DataFrame({
             "key": df["o_orderkey"].to_numpy(dtype=np.int64),
             "date_us": df["o_orderdate"].astype("datetime64[us]")
                         .astype("int64"),
             "prio": df["o_orderpriority"],
-            "side": np.zeros(len(df), dtype=np.int64),
-        })
-        out["_b"] = (out["key"].to_numpy() % n_buckets).astype(np.int64)
-        return _arrow(out)
+        }))
 
     def item_side(df: pd.DataFrame) -> pa.Table:
         g = pd.DataFrame({
@@ -3354,18 +3240,15 @@ def orders_priority_semijoin(sf_dir: str, n_buckets: int = 32):
             "date_us": df["l_shipdate"].astype("datetime64[us]")
                         .astype("int64"),
         }).groupby("key", as_index=False)["date_us"].max()
-        out = pd.DataFrame({
+        return _arrow(pd.DataFrame({
             "key": g["key"].to_numpy(dtype=np.int64),
             "date_us": g["date_us"].to_numpy(dtype=np.int64),
             "prio": np.full(len(g), "", dtype=object),
-            "side": np.ones(len(g), dtype=np.int64),
-        })
-        out["_b"] = (out["key"].to_numpy() % n_buckets).astype(np.int64)
-        return _arrow(out)
+        }))
 
     def join_bucket(g: pd.DataFrame) -> pa.Table:
-        o = g[g["side"] == 0]
-        li = g[g["side"] == 1].groupby("key", as_index=False)["date_us"].max()
+        o = g[g["_side"] == 0]
+        li = g[g["_side"] == 1].groupby("key", as_index=False)["date_us"].max()
         m = o.merge(li, on="key", how="inner", suffixes=("", "_ship"))
         hit = m[m["date_us_ship"] > m["date_us"]]
         part = hit.groupby("prio", as_index=False).agg(n=("prio", "size"))
@@ -3373,7 +3256,7 @@ def orders_priority_semijoin(sf_dir: str, n_buckets: int = 32):
             return pa.table({"o_orderpriority": pa.array([], pa.string()),
                              "n": pa.array([], pa.int64())})
         part["n"] = part["n"].astype(np.int64)
-        return _arrow(part.rename(columns={"prio": "o_orderpriority"}))
+        return part.rename(columns={"prio": "o_orderpriority"})
 
     def final(g: pd.DataFrame) -> pa.Table:
         out = pd.DataFrame({
@@ -3381,9 +3264,9 @@ def orders_priority_semijoin(sf_dir: str, n_buckets: int = 32):
             "n_orders": np.asarray([g["n"].sum()], dtype=np.int64)})
         return _arrow(out)
 
-    both = orders.map_batches(order_side, batch_format="pandas") \
-        .union(items.map_batches(item_side, batch_format="pandas"))
-    return (both.groupby("_b").map_groups(join_bucket, batch_format="pandas")
+    return (cogroup([orders.map_batches(order_side, batch_format="pandas"),
+                     items.map_batches(item_side, batch_format="pandas")],
+                    "key", join_bucket)
             .groupby("o_orderpriority").map_groups(final,
                                                    batch_format="pandas"))
 
@@ -3402,8 +3285,7 @@ _segment_custkeys_task = ray.remote(_segment_custkeys)
 
 
 def orders_shipping_priority(sf_dir: str, cutoff: str = "1998-06-01",
-                             segment: str = "BUILDING", k: int = 10,
-                             n_buckets: int = 32):
+                             segment: str = "BUILDING", k: int = 10):
     """TPC-H Q3-shaped 3-table join: the top-k orders of one customer
     segment by revenue still unshipped at the cutoff date — the
     dim-broadcast + large x large co-partition combination in one plan.
@@ -3413,10 +3295,10 @@ def orders_shipping_priority(sf_dir: str, cutoff: str = "1998-06-01",
     prune at the read (column projection + the date filters applied per
     batch BEFORE any shuffle); lineitem pre-aggregates revenue per
     orderkey inside ``map_batches`` (the combiner — only fixed-width
-    (key, rev) partials shuffle); ONE orderkey-bucketed co-group joins the
+    (key, rev) partials shuffle); ONE orderkey-keyed co-group joins the
     sides and keeps its local top-k under the oracle's total order
     (revenue DESC, orderdate, orderkey), so the final sort+limit sees
-    <= n_buckets * k rows. Revenue rounds to cents like pricing_summary
+    k rows per bucket. Revenue rounds to cents like pricing_summary
     (distributed-sum vs sequential-libm parity margin ~1e9x)."""
     cut_us = int(pd.Timestamp(cutoff).value // 1000)
     ckeys_ref = _segment_custkeys_task.remote(_t(sf_dir, "customer"), segment)
@@ -3430,9 +3312,7 @@ def orders_shipping_priority(sf_dir: str, cutoff: str = "1998-06-01",
     union_empty = pa.table({"key": pa.array([], pa.int64()),
                             "odate_us": pa.array([], pa.int64()),
                             "prio": pa.array([], pa.string()),
-                            "rev": pa.array([], pa.float64()),
-                            "side": pa.array([], pa.int64()),
-                            "_b": pa.array([], pa.int64())})
+                            "rev": pa.array([], pa.float64())})
     out_empty = pa.table({"l_orderkey": pa.array([], pa.int64()),
                           "revenue": pa.array([], pa.float64()),
                           "o_orderdate_us": pa.array([], pa.int64()),
@@ -3446,13 +3326,11 @@ def orders_shipping_priority(sf_dir: str, cutoff: str = "1998-06-01",
             df = df[np.isin(df["o_custkey"].to_numpy(dtype=np.int64), ck)]
         if not len(df):
             return union_empty
-        key = df["o_orderkey"].to_numpy(dtype=np.int64)
         return _arrow(pd.DataFrame({
-            "key": key, "odate_us": df["odate_us"].to_numpy(dtype=np.int64),
+            "key": df["o_orderkey"].to_numpy(dtype=np.int64),
+            "odate_us": df["odate_us"].to_numpy(dtype=np.int64),
             "prio": df["o_orderpriority"],
-            "rev": np.zeros(len(df), dtype=np.float64),
-            "side": np.zeros(len(df), dtype=np.int64),
-            "_b": (key % n_buckets).astype(np.int64)}))
+            "rev": np.zeros(len(df), dtype=np.float64)}))
 
     def item_side(df: pd.DataFrame) -> pa.Table:
         ship = df["l_shipdate"].astype("datetime64[us]").astype("int64")
@@ -3464,17 +3342,15 @@ def orders_shipping_priority(sf_dir: str, cutoff: str = "1998-06-01",
             "rev": df["l_extendedprice"].to_numpy()
                    * (1.0 - df["l_discount"].to_numpy()),
         }).groupby("key", as_index=False)["rev"].sum()
-        key = g["key"].to_numpy(dtype=np.int64)
         return _arrow(pd.DataFrame({
-            "key": key, "odate_us": np.zeros(len(g), dtype=np.int64),
+            "key": g["key"].to_numpy(dtype=np.int64),
+            "odate_us": np.zeros(len(g), dtype=np.int64),
             "prio": np.full(len(g), "", dtype=object),
-            "rev": g["rev"].to_numpy(dtype=np.float64),
-            "side": np.ones(len(g), dtype=np.int64),
-            "_b": (key % n_buckets).astype(np.int64)}))
+            "rev": g["rev"].to_numpy(dtype=np.float64)}))
 
     def join_bucket(g: pd.DataFrame) -> pa.Table:
-        o = g[g["side"] == 0].drop(columns=["rev"])
-        li = g[g["side"] == 1].groupby("key", as_index=False)["rev"].sum()
+        o = g[g["_side"] == 0][["key", "odate_us", "prio"]]
+        li = g[g["_side"] == 1].groupby("key", as_index=False)["rev"].sum()
         m = o.merge(li, on="key", how="inner")
         if not len(m):
             return out_empty
@@ -3491,9 +3367,9 @@ def orders_shipping_priority(sf_dir: str, cutoff: str = "1998-06-01",
             "o_orderpriority": pa.array(m["prio"].astype(str), pa.string()),
         })
 
-    both = orders.map_batches(order_side, batch_format="pandas") \
-        .union(items.map_batches(item_side, batch_format="pandas"))
-    folded = both.groupby("_b").map_groups(join_bucket, batch_format="pandas")
+    folded = cogroup([orders.map_batches(order_side, batch_format="pandas"),
+                      items.map_batches(item_side, batch_format="pandas")],
+                     "key", join_bucket)
     return folded.sort(["revenue", "o_orderdate_us", "l_orderkey"],
                        descending=[True, False, False]).limit(k)
 
@@ -3532,7 +3408,7 @@ _market_share_dims_task = ray.remote(_market_share_dims)
 
 def nation_market_share(sf_dir: str, region_name: str = "ASIA",
                         target_nation: str = "NATION_12",
-                        part_type: str = "PROMO", n_buckets: int = 32):
+                        part_type: str = "PROMO"):
     """TPC-H Q8-shaped 6-table join: per order year, ``target_nation``'s
     share of revenue for ``part_type`` parts sold to customers in
     ``region_name`` — the deepest dim-join pattern in the relational
@@ -3542,7 +3418,7 @@ def nation_market_share(sf_dir: str, region_name: str = "ASIA",
     Scale shape: every dim collapses to a broadcast payload built in ONE
     Ray task (custkey set, suppkey->nation map, partkey set); orders and
     lineitem prune at the read and filter per batch BEFORE the single
-    orderkey-bucketed co-group; lineitem pre-aggregates (orderkey, nation)
+    orderkey-keyed co-group; lineitem pre-aggregates (orderkey, nation)
     volume partials inside ``map_batches``, so only fixed-width partials
     shuffle; each bucket folds to (year, nation) partials and the final
     fold is a driver-side sum over <= buckets * years * nations rows
@@ -3560,9 +3436,7 @@ def nation_market_share(sf_dir: str, region_name: str = "ASIA",
     union_empty = pa.table({"key": pa.array([], pa.int64()),
                             "o_year": pa.array([], pa.int64()),
                             "supp_nation": pa.array([], pa.string()),
-                            "vol": pa.array([], pa.float64()),
-                            "side": pa.array([], pa.int64()),
-                            "_b": pa.array([], pa.int64())})
+                            "vol": pa.array([], pa.float64())})
     part_empty = pa.table({"o_year": pa.array([], pa.int64()),
                            "supp_nation": pa.array([], pa.string()),
                            "vol": pa.array([], pa.float64())})
@@ -3575,15 +3449,12 @@ def nation_market_share(sf_dir: str, region_name: str = "ASIA",
         df = df[keep]
         if not len(df):
             return union_empty
-        key = df["o_orderkey"].to_numpy(dtype=np.int64)
         year = df["o_orderdate"].astype("datetime64[us]") \
             .dt.year.to_numpy(dtype=np.int64)
         return _arrow(pd.DataFrame({
-            "key": key, "o_year": year,
+            "key": df["o_orderkey"].to_numpy(dtype=np.int64), "o_year": year,
             "supp_nation": np.full(len(df), "", dtype=object),
-            "vol": np.zeros(len(df), dtype=np.float64),
-            "side": np.zeros(len(df), dtype=np.int64),
-            "_b": (key % n_buckets).astype(np.int64)}))
+            "vol": np.zeros(len(df), dtype=np.float64)}))
 
     def item_side(df: pd.DataFrame) -> pa.Table:
         if not len(df):
@@ -3599,18 +3470,16 @@ def nation_market_share(sf_dir: str, region_name: str = "ASIA",
             "vol": df["l_extendedprice"].to_numpy()
                    * (1.0 - df["l_discount"].to_numpy()),
         }).groupby(["key", "supp_nation"], as_index=False)["vol"].sum()
-        key = g["key"].to_numpy(dtype=np.int64)
         return _arrow(pd.DataFrame({
-            "key": key, "o_year": np.zeros(len(g), dtype=np.int64),
+            "key": g["key"].to_numpy(dtype=np.int64),
+            "o_year": np.zeros(len(g), dtype=np.int64),
             "supp_nation": g["supp_nation"],
-            "vol": g["vol"].to_numpy(dtype=np.float64),
-            "side": np.ones(len(g), dtype=np.int64),
-            "_b": (key % n_buckets).astype(np.int64)}))
+            "vol": g["vol"].to_numpy(dtype=np.float64)}))
 
     def join_bucket(g: pd.DataFrame) -> pa.Table:
-        o = g[g["side"] == 0][["key", "o_year"]]
-        li = g[g["side"] == 1].groupby(["key", "supp_nation"],
-                                       as_index=False)["vol"].sum()
+        o = g[g["_side"] == 0][["key", "o_year"]]
+        li = g[g["_side"] == 1].groupby(["key", "supp_nation"],
+                                        as_index=False)["vol"].sum()
         m = li.merge(o, on="key", how="inner")
         if not len(m):
             return part_empty
@@ -3623,10 +3492,10 @@ def nation_market_share(sf_dir: str, region_name: str = "ASIA",
             "vol": pa.array(p["vol"].to_numpy(dtype=np.float64),
                             pa.float64())})
 
-    parts = orders.map_batches(order_side, batch_format="pandas") \
-        .union(items.map_batches(item_side, batch_format="pandas")) \
-        .groupby("_b").map_groups(join_bucket, batch_format="pandas") \
-        .to_pandas()  # bounded: <= n_buckets * years * nations rows
+    parts = cogroup([orders.map_batches(order_side, batch_format="pandas"),
+                     items.map_batches(item_side, batch_format="pandas")],
+                    "key", join_bucket) \
+        .to_pandas()  # bounded: <= buckets * years * nations rows
     if not len(parts):
         return rd.from_arrow(pa.table({"o_year": pa.array([], pa.int64()),
                                        "mkt_share": pa.array([], pa.float64())}))
@@ -3673,8 +3542,7 @@ _supplier_nation_dims_task = ray.remote(_supplier_nation_dims)
 
 
 def local_supplier_volume(sf_dir: str, region_name: str = "ASIA",
-                          start: str = "1996-01-01", end: str = "1997-01-01",
-                          n_buckets: int = 32):
+                          start: str = "1996-01-01", end: str = "1997-01-01"):
     """TPC-H Q5 shape: revenue per nation from orders where the CUSTOMER
     and the SUPPLIER sit in the same ``region_name`` nation — the join
     with an equality constraint BETWEEN two dimension paths, which no
@@ -3684,7 +3552,7 @@ def local_supplier_volume(sf_dir: str, region_name: str = "ASIA",
     Ray task (custkey -> nationkey and suppkey -> nationkey, already
     region-restricted); orders and lineitem prune at the read, filter and
     label per batch, lineitem pre-aggregates (orderkey, supp-nation)
-    volume partials; ONE orderkey-bucketed co-group applies the
+    volume partials; ONE orderkey-keyed co-group applies the
     cust-nation == supp-nation constraint and folds (nation, vol)
     partials, so the final fold is a driver-side sum over
     <= buckets * nations rows. Revenue rounds to cents (the
@@ -3702,9 +3570,7 @@ def local_supplier_volume(sf_dir: str, region_name: str = "ASIA",
 
     union_empty = pa.table({"key": pa.array([], pa.int64()),
                             "nat": pa.array([], pa.int64()),
-                            "vol": pa.array([], pa.float64()),
-                            "side": pa.array([], pa.int64()),
-                            "_b": pa.array([], pa.int64())})
+                            "vol": pa.array([], pa.float64())})
     part_empty = pa.table({"nat": pa.array([], pa.int64()),
                            "vol": pa.array([], pa.float64())})
 
@@ -3721,12 +3587,10 @@ def local_supplier_volume(sf_dir: str, region_name: str = "ASIA",
         df, nat = df[keep], nat[keep]
         if not len(df):
             return union_empty
-        key = df["o_orderkey"].to_numpy(dtype=np.int64)
         return _arrow(pd.DataFrame({
-            "key": key, "nat": nat.to_numpy(dtype=np.int64),
-            "vol": np.zeros(len(df), dtype=np.float64),
-            "side": np.zeros(len(df), dtype=np.int64),
-            "_b": (key % n_buckets).astype(np.int64)}))
+            "key": df["o_orderkey"].to_numpy(dtype=np.int64),
+            "nat": nat.to_numpy(dtype=np.int64),
+            "vol": np.zeros(len(df), dtype=np.float64)}))
 
     def item_side(df: pd.DataFrame) -> pa.Table:
         if not len(df):
@@ -3743,17 +3607,13 @@ def local_supplier_volume(sf_dir: str, region_name: str = "ASIA",
             "vol": df["l_extendedprice"].to_numpy()
                    * (1.0 - df["l_discount"].to_numpy()),
         }).groupby(["key", "nat"], as_index=False)["vol"].sum()
-        key = g["key"].to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({
-            "key": key, "nat": g["nat"].to_numpy(dtype=np.int64),
-            "vol": g["vol"].to_numpy(dtype=np.float64),
-            "side": np.ones(len(g), dtype=np.int64),
-            "_b": (key % n_buckets).astype(np.int64)}))
+        return _arrow(g.astype({"key": np.int64, "nat": np.int64,
+                                "vol": np.float64}))
 
     def join_bucket(g: pd.DataFrame) -> pa.Table:
-        o = g[g["side"] == 0][["key", "nat"]]
-        li = g[g["side"] == 1].groupby(["key", "nat"],
-                                       as_index=False)["vol"].sum()
+        o = g[g["_side"] == 0][["key", "nat"]]
+        li = g[g["_side"] == 1].groupby(["key", "nat"],
+                                        as_index=False)["vol"].sum()
         m = li.merge(o, on=["key", "nat"], how="inner")  # same-nation gate
         if not len(m):
             return part_empty
@@ -3763,10 +3623,10 @@ def local_supplier_volume(sf_dir: str, region_name: str = "ASIA",
             "vol": pa.array(p["vol"].to_numpy(dtype=np.float64),
                             pa.float64())})
 
-    parts = orders.map_batches(order_side, batch_format="pandas") \
-        .union(items.map_batches(item_side, batch_format="pandas")) \
-        .groupby("_b").map_groups(join_bucket, batch_format="pandas") \
-        .to_pandas()  # bounded: <= n_buckets * nations rows
+    parts = cogroup([orders.map_batches(order_side, batch_format="pandas"),
+                     items.map_batches(item_side, batch_format="pandas")],
+                    "key", join_bucket) \
+        .to_pandas()  # bounded: <= buckets * nations rows
     _, _, nname = ray.get(dims_ref)
     if not len(parts):
         return rd.from_arrow(pa.table({"n_name": pa.array([], pa.string()),
@@ -3837,8 +3697,15 @@ def supplier_revenue_top(sf_dir: str, start: str = "1996-01-01",
         .groupby("l_suppkey").sum("vol") \
         .map_batches(finalize, batch_format="pandas") \
         .materialize()  # supplier-bounded aggregate, consumed twice
-    mx = rev.max("total_revenue")
-    top = rev.filter(expr=f"total_revenue == {mx!r}").to_pandas()
+    mx = rev.max("total_revenue")  # None when the window matches no rows
+    if mx is None:
+        top = pd.DataFrame({"s_suppkey": np.asarray([], dtype=np.int64),
+                            "total_revenue": np.asarray([], dtype=np.float64)})
+    else:
+        mx = float(mx)
+        top = rev.map_batches(
+            lambda t: t.filter(pc.equal(t.column("total_revenue"), mx)),
+            batch_format="pyarrow").to_pandas()
     names = ray.get(names_ref)
     top["s_name"] = top["s_suppkey"].map(names)
     top = top.sort_values("s_suppkey")
@@ -3895,15 +3762,15 @@ def topk_per_group(sf_dir: str, k: int = 3):
 # aggregated edge list are broadcastable small sides, while the triple
 # stream that derives them is never materialized.
 
-def kg_conv_first_mentions(sf_dir: str, n_buckets: int = 32):
+def kg_conv_first_mentions(sf_dir: str):
     """Per-(conversation, entity) mention provenance: the first turn a
     region entity is mentioned in a conversation plus its mention count —
     the record that lets a KG consumer trace a `mentions` edge back to the
     turn that introduced it.
 
     Scale shape: pruned column read of the partitioned triples parquet ->
-    per-batch partial (min turn, count) groupby -> ONE conv-bucketed
-    combine folding partial mins/sums. The triple stream never
+    per-batch partial (min turn, count) groupby -> ONE conv-keyed co-group
+    folding partial mins/sums. The triple stream never
     materializes; shuffle units are pre-aggregated (conv, obj) partials.
     Oracle = the same aggregate over the naive twin's independently-built
     triples."""
@@ -3923,22 +3790,16 @@ def kg_conv_first_mentions(sf_dir: str, n_buckets: int = 32):
                      n_mentions=("turn_idx", "size")))
         part["first_turn"] = part["first_turn"].astype(np.int64)
         part["n_mentions"] = part["n_mentions"].astype(np.int64)
-        part["_cb"] = _crc_bucket(part["conv_id"], n_buckets)
         return _arrow(part)
 
-    def combine(g: pd.DataFrame) -> pa.Table:
+    def combine(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["conv_id", "obj"], sort=False, as_index=False)
                .agg(first_turn=("first_turn", "min"),
                     n_mentions=("n_mentions", "sum")))
-        out["first_turn"] = out["first_turn"].astype(np.int64)
-        out["n_mentions"] = out["n_mentions"].astype(np.int64)
-        return _arrow(out)
+        return out.astype({"first_turn": np.int64, "n_mentions": np.int64})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("_cb").map_groups(combine, batch_format="pandas"))
-
-
-_COOCCUR_GRAPH_MEMO: dict = {}
+    return cogroup(ds.map_batches(partial, batch_format="pyarrow"),
+                   "conv_id", combine)
 
 
 def _build_cooccur_graph(*tables):
@@ -3948,8 +3809,9 @@ def _build_cooccur_graph(*tables):
     (src, dst, w) arrays, weighted degrees, and a greater-neighbor CSR
     (adj[u] = sorted neighbors v > u) for triangle intersection. Bounded by
     the region dictionary, broadcast via ObjectRef (plasma zero-copy)."""
-    # an empty map_groups bucket yields a SCHEMALESS zero-row block (no
-    # columns at all) — skip those rather than select() into a KeyError
+    # Ray's map_groups emits a SCHEMALESS zero-row block (no columns at
+    # all) for every sort partition that received no rows, whatever the
+    # fold returns — skip those rather than select() into a KeyError
     tabs = [tb.select(["obj_a", "obj_b", "n_convs"]) for tb in tables
             if "obj_a" in tb.column_names]
     if not tabs:
@@ -3993,23 +3855,13 @@ def _cooccur_graph(sf_dir: str):
     """Memoized (materialized co-mention edge Dataset, graph payload ref)
     shared by kg_entity_cooccurrence / kg_cooccur_triangles /
     kg_region_pagerank — the edge table is a deterministic intermediate a
-    100 TB run computes once and persists; in-process the memo is keyed on
-    the corpus scale + Ray session token (refs die with their session, see
-    dedup_ngram_jaccard's memo)."""
-    sess = ray.get_runtime_context().get_node_id() if ray.is_initialized() \
-        else None
-    key = (sess, os.path.abspath(sf_dir))
-    hit = _COOCCUR_GRAPH_MEMO.get(key) if sess is not None else None
-    if hit is None:
-        if len(_COOCCUR_GRAPH_MEMO) > 8:
-            _COOCCUR_GRAPH_MEMO.clear()
+    100 TB run computes once and persists; in-process the session memo
+    keys it on the corpus scale."""
+    def build():
         edges = _cooccur_edges_compute(sf_dir).materialize()
-        payload_ref = _build_cooccur_graph_task.remote(
-            *edges.to_arrow_refs())
-        sess = ray.get_runtime_context().get_node_id()
-        hit = (edges, payload_ref)
-        _COOCCUR_GRAPH_MEMO[(sess,) + key[1:]] = hit
-    return hit
+        return edges, _build_cooccur_graph_task.remote(*edges.to_arrow_refs())
+
+    return _session_memo(("cooccur_graph", os.path.abspath(sf_dir)), build)
 
 
 def _triangle_shard(payload, lo: int, hi: int):
@@ -4384,48 +4236,43 @@ def kg_community_lpa(sf_dir: str, n_iters: int = 2, n_shards: int = 16):
         "community": pa.array(nodes[labels], pa.string())}))
 
 
-def events_running_total(sf_dir: str, n_buckets: int = 64):
+def events_running_total(sf_dir: str):
     """Per-user running totals: each event's 1-based sequence number and
     cumulative ``value`` under the (ts, event_id) total order — the
     ordered-window primitive (SUM/ROW_NUMBER OVER PARTITION ... ROWS
     UNBOUNDED PRECEDING) next to lag (events_user_paths) and
     gap-sessionize.
 
-    Scale shape: ONE user-bucketed shuffle co-locates each user's events
-    (``user_id % n_buckets`` keeps the group count bounded, parallelism =
-    buckets); inside a bucket the scan is a vectorized grouped cumsum /
+    Scale shape: ONE user-keyed co-group co-locates each user's events
+    (the bucket count bounds the group count, parallelism = buckets);
+    inside a bucket the scan is a vectorized grouped cumsum /
     cumcount over the (user, ts, event_id) mergesort — no global sort, no
     driver state, output streams bucket by bucket."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
-    def add_bucket(df: pd.DataFrame) -> pa.Table:
+    def to_us(df: pd.DataFrame) -> pa.Table:
         return _arrow(pd.DataFrame({
             "event_id": df["event_id"].to_numpy(dtype=np.int64),
             "ts_us": df["ts"].astype("datetime64[us]").astype("int64"),
             "user_id": df["user_id"].to_numpy(dtype=np.int64),
-            "value": df["value"].to_numpy(dtype=np.float64),
-            "_b": (df["user_id"].to_numpy() % n_buckets).astype(np.int64)}))
+            "value": df["value"].to_numpy(dtype=np.float64)}))
 
-    def bucket_scan(g: pd.DataFrame) -> pa.Table:
+    def bucket_scan(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
         grp = g.groupby("user_id", sort=False)
-        return pa.table({
-            "event_id": pa.array(g["event_id"].to_numpy(dtype=np.int64),
-                                 pa.int64()),
-            "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "seq": pa.array((grp.cumcount() + 1).to_numpy(dtype=np.int64),
-                            pa.int64()),
-            "running_value": pa.array(
-                np.round(grp["value"].cumsum().to_numpy(dtype=np.float64), 6),
-                pa.float64()),
+        return pd.DataFrame({
+            "event_id": g["event_id"].to_numpy(dtype=np.int64),
+            "user_id": g["user_id"].to_numpy(dtype=np.int64),
+            "seq": (grp.cumcount() + 1).to_numpy(dtype=np.int64),
+            "running_value": np.round(
+                grp["value"].cumsum().to_numpy(dtype=np.float64), 6),
         })
 
-    return ds.map_batches(add_bucket, batch_format="pandas") \
-        .groupby("_b").map_groups(bucket_scan, batch_format="pandas")
+    return cogroup(ds.map_batches(to_us, batch_format="pandas"), "user_id",
+                   bucket_scan)
 
 
-def events_cdc_compact(sf_dir: str, n_buckets: int = 64):
+def events_cdc_compact(sf_dir: str):
     """Last-write-wins compaction (the CDC-snapshot / upsert-merge shape):
     one surviving row per user — their latest event under the
     (ts, event_id) total order — the step that turns an append-only
@@ -4434,7 +4281,7 @@ def events_cdc_compact(sf_dir: str, n_buckets: int = 64):
     Scale shape: distributed argmax-per-key. Each batch keeps only its
     own last row per user (the combiner — at most one row per (batch,
     user) ever shuffles, so a hot user costs one row per block, not its
-    event history); the ONE user-bucketed fold repeats the same tail(1)
+    event history); the ONE user-keyed co-group repeats the same tail(1)
     on the bounded partials. No global sort, no driver state."""
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"])
@@ -4443,8 +4290,7 @@ def events_cdc_compact(sf_dir: str, n_buckets: int = 64):
                       "last_ts_us": pa.array([], pa.int64()),
                       "last_event_id": pa.array([], pa.int64()),
                       "last_event_type": pa.array([], pa.string()),
-                      "last_value": pa.array([], pa.float64()),
-                      "_b": pa.array([], pa.int64())})
+                      "last_value": pa.array([], pa.float64())})
 
     def partial(df: pd.DataFrame) -> pa.Table:
         if not len(df):
@@ -4459,46 +4305,32 @@ def events_cdc_compact(sf_dir: str, n_buckets: int = 64):
         }).sort_values(["user_id", "last_ts_us", "last_event_id"],
                        kind="mergesort").groupby("user_id", sort=False) \
             .tail(1)
-        g["_b"] = (g["user_id"].to_numpy() % n_buckets).astype(np.int64)
         return _arrow(g)
 
-    def fold(g: pd.DataFrame) -> pa.Table:
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "last_ts_us", "last_event_id"],
                           kind="mergesort").groupby("user_id", sort=False) \
             .tail(1)
-        return pa.table({
-            "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "last_ts_us": pa.array(g["last_ts_us"].to_numpy(dtype=np.int64),
-                                   pa.int64()),
-            "last_event_id": pa.array(
-                g["last_event_id"].to_numpy(dtype=np.int64), pa.int64()),
-            "last_event_type": pa.array(g["last_event_type"].astype(str),
-                                        pa.string()),
-            "last_value": pa.array(g["last_value"].to_numpy(dtype=np.float64),
-                                   pa.float64())})
+        return g[["user_id", "last_ts_us", "last_event_id",
+                  "last_event_type", "last_value"]]
 
-    return ds.map_batches(partial, batch_format="pandas") \
-        .groupby("_b").map_groups(fold, batch_format="pandas")
+    return cogroup(ds.map_batches(partial, batch_format="pandas"), "user_id",
+                   fold)
 
 
-def events_user_paths(sf_dir: str, n_buckets: int = 64):
+def events_user_paths(sf_dir: str):
     """Event-type transition matrix: for every ordered pair of consecutive
     events by the same user (total order: ts, then event_id for equal
     timestamps), the count of (from_type -> to_type) transitions — the
     Markov-chain summary a product-analytics funnel explorer starts from.
 
     Scale shape: like sessionize, consecutive-pair semantics need each
-    user's full event sequence co-located, so the ONE shuffle buckets raw
-    rows by ``user_id % n_buckets`` (bounded group count); inside each
+    user's full event sequence co-located, so the ONE shuffle co-groups
+    raw rows by ``user_id`` (bounded group count); inside each
     bucket the lag is a vectorized shift over the (user, ts, event_id)
     sort, and pair counts pre-aggregate to at most |event_type|^2 rows per
     bucket before the tiny final groupby-sum."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-
-    def add_bucket(df: pd.DataFrame) -> pa.Table:
-        df["_b"] = (df["user_id"].to_numpy() % n_buckets).astype(np.int64)
-        return _arrow(df)
 
     _pair_schema = pa.schema([("from_type", pa.string()),
                               ("to_type", pa.string()), ("n", pa.int64())])
@@ -4513,10 +4345,9 @@ def events_user_paths(sf_dir: str, n_buckets: int = 64):
         part = (pairs.groupby(["from_type", "to_type"], sort=False,
                               as_index=False).agg(n=("to_type", "size")))
         part["n"] = part["n"].astype(np.int64)
-        return _arrow(part)
+        return part
 
-    out = (ds.map_batches(add_bucket, batch_format="pandas")
-           .groupby("_b").map_groups(transitions, batch_format="pandas")
+    out = (cogroup(ds, "user_id", transitions)
            .groupby(["from_type", "to_type"])
            .aggregate(Sum("n", alias_name="n")))
     return out.map_batches(lambda df: df.assign(n=df["n"].astype("int64")),
@@ -4578,38 +4409,26 @@ def orders_rollup(sf_dir: str):
     return base.repartition(1).map_batches(rollup, batch_format="pandas")
 
 
-def events_value_p95_hourly(sf_dir: str, n_buckets: int = 64):
+def events_value_p95_hourly(sf_dir: str):
     """Exact per-(event_type, hour) value percentiles (p50/p95, DuckDB
     ``quantile_disc`` semantics: sorted 1-based index ceil(q*n)) — the
     latency-style SLO percentile a monitoring rollup publishes per window.
 
     Scale shape: ``value`` is a continuous double, so the small-int
     histogram trick behind ``token_quantiles`` does not apply; the exact
-    answer needs each window's values co-located. ONE shuffle buckets rows
-    by crc(event_type, hour) (bounded group count — windows x types);
+    answer needs each window's values co-located. ONE co-group keyed by
+    (event_type, hour) (bounded group count — windows x types);
     percentiles resolve vectorized inside the bucket. The selected
     percentile is an actual data value (no interpolation), so results hash
     bit-exact against the oracle with no rounding discipline needed."""
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def add_keys(t: pa.Table) -> pa.Table:
-        hour = _hour_key(t.column("ts"))
-        # vectorized (type, hour) bucket: crc only per DISTINCT type, the
-        # hour folds in as its integer epoch-hour (no per-row python hash)
-        et = t.column("event_type").to_pandas()
-        type_crc = {v: zlib.crc32(v.encode()) for v in et.unique()}
-        hour_int = pc.floor_temporal(t.column("ts"), unit="hour") \
-            .cast(pa.int64()).to_numpy() // 3_600_000_000
-        mixed = (hour_int.view(np.uint64) * np.uint64(1315423911)
-                 + et.map(type_crc).to_numpy(dtype=np.int64).view(np.uint64))
-        return pa.table({
-            "event_type": t.column("event_type"),
-            "hour": hour,
-            "value": t.column("value"),
-            "_b": pa.array((mixed % np.uint64(n_buckets)).astype(np.int64)),
-        })
+    def add_hour(t: pa.Table) -> pa.Table:
+        return pa.table({"event_type": t.column("event_type"),
+                         "hour": _hour_key(t.column("ts")),
+                         "value": t.column("value")})
 
-    def fold(g: pd.DataFrame) -> pa.Table:
+    def fold(g: pd.DataFrame) -> pd.DataFrame:
         import math
 
         rows = []
@@ -4622,13 +4441,13 @@ def events_value_p95_hourly(sf_dir: str, n_buckets: int = 64):
                 "p50": vals[max(1, math.ceil(0.5 * n)) - 1],
                 "p95": vals[max(1, math.ceil(0.95 * n)) - 1],
             })
-        return _arrow(pd.DataFrame(rows))
+        return pd.DataFrame(rows)
 
-    return (ds.map_batches(add_keys, batch_format="pyarrow")
-            .groupby("_b").map_groups(fold, batch_format="pandas"))
+    return cogroup(ds.map_batches(add_hour, batch_format="pyarrow"),
+                   ["event_type", "hour"], fold)
 
 
-def docs_bigram_lm(sf_dir: str, n_buckets: int = 64):
+def docs_bigram_lm(sf_dir: str):
     """Corpus bigram language-model score per document: train word-bigram
     counts on the corpus itself and score each doc by its mean bigram log
     probability, sum(ln c(w1,w2) - ln c(w1 .)) / n_bigrams — the
@@ -4636,13 +4455,13 @@ def docs_bigram_lm(sf_dir: str, n_buckets: int = 64):
     (low score = improbable word sequences).
 
     Scale shape (the ``docs_tfidf`` counts-in-place trick, twice): two
-    streamed passes explode (doc, bigram) / (doc, w1) rows keyed by token
-    bucket; every occurrence of a bigram (resp. context word) lands in its
+    streamed passes explode (doc, bigram) / (doc, w1) rows co-grouped by
+    token; every occurrence of a bigram (resp. context word) lands in its
     bucket, so the model count is the bucket-local row count — the
     vocabulary is never broadcast, never driver-resident. Each bucket folds
     per-doc partial log-prob sums (ONE ``math.log`` per distinct count for
-    libm bit-parity with the oracle's ``ln``), and a final doc-bucketed
-    combine divides. Docs with <2 tokens have no bigrams and are absent,
+    libm bit-parity with the oracle's ``ln``), and a final doc-keyed
+    co-group divides. Docs with <2 tokens have no bigrams and are absent,
     as in the oracle."""
     import math
 
@@ -4651,8 +4470,7 @@ def docs_bigram_lm(sf_dir: str, n_buckets: int = 64):
     def _explode(df: pd.DataFrame, what: str) -> pa.Table:
         if not len(df):
             return pa.schema([("doc_id", pa.int64()),
-                              ("key", pa.string()),
-                              ("_kb", pa.int64())]).empty_table()
+                              ("key", pa.string())]).empty_table()
         toks = df["text"].str.split(" ")
         lens = toks.str.len().to_numpy(dtype=np.int64)
         flat = np.concatenate(toks.to_numpy())
@@ -4668,12 +4486,11 @@ def docs_bigram_lm(sf_dir: str, n_buckets: int = 64):
         else:
             key = pc.binary_join_element_wise(
                 w1, pa.array(flat[idx + 1], pa.string()), "\x01")
-        out = pd.DataFrame({"doc_id": doc_ids,
-                            "key": key.to_numpy(zero_copy_only=False)})
-        out["_kb"] = _crc_bucket(out["key"], n_buckets)
-        return _arrow(out)
+        return pa.table({"doc_id": pa.array(doc_ids, pa.int64()),
+                         "key": key})
 
-    def _fold_partial(g: pd.DataFrame, sign: float, count_n: bool) -> pa.Table:
+    def _fold_partial(g: pd.DataFrame, sign: float,
+                      count_n: bool) -> pd.DataFrame:
         c = g.groupby("key", sort=False)["doc_id"].transform("size") \
             .to_numpy(dtype=np.int64)
         log_of = {int(d): math.log(d) for d in np.unique(c)}
@@ -4686,28 +4503,22 @@ def docs_bigram_lm(sf_dir: str, n_buckets: int = 64):
             agg["n"] = agg["n"].astype(np.int64)
         else:
             agg["n"] = np.zeros(len(agg), dtype=np.int64)
-        agg["_db"] = (agg["doc_id"].to_numpy() % n_buckets).astype(np.int64)
-        return _arrow(agg[["doc_id", "s", "n", "_db"]])
+        return agg[["doc_id", "s", "n"]]
 
-    bg_parts = (docs.map_batches(lambda df: _explode(df, "bg"),
-                                 batch_format="pandas")
-                .groupby("_kb")
-                .map_groups(lambda g: _fold_partial(g, 1.0, True),
-                            batch_format="pandas"))
-    w1_parts = (docs.map_batches(lambda df: _explode(df, "w1"),
-                                 batch_format="pandas")
-                .groupby("_kb")
-                .map_groups(lambda g: _fold_partial(g, -1.0, False),
-                            batch_format="pandas"))
+    bg_parts = cogroup(docs.map_batches(lambda df: _explode(df, "bg"),
+                                        batch_format="pandas"),
+                       "key", lambda g: _fold_partial(g, 1.0, True))
+    w1_parts = cogroup(docs.map_batches(lambda df: _explode(df, "w1"),
+                                        batch_format="pandas"),
+                       "key", lambda g: _fold_partial(g, -1.0, False))
 
-    def finalize(g: pd.DataFrame) -> pa.Table:
+    def finalize(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("doc_id", as_index=False).agg(
             s=("s", "sum"), n_bigrams=("n", "sum"))
         out = out[out["n_bigrams"] > 0]
         out["lm_score"] = np.round(out["s"].to_numpy()
                                    / out["n_bigrams"].to_numpy(), 6)
         out["n_bigrams"] = out["n_bigrams"].astype(np.int64)
-        return _arrow(out[["doc_id", "n_bigrams", "lm_score"]])
+        return out[["doc_id", "n_bigrams", "lm_score"]]
 
-    return (bg_parts.union(w1_parts)
-            .groupby("_db").map_groups(finalize, batch_format="pandas"))
+    return cogroup([bg_parts, w1_parts], "doc_id", finalize)

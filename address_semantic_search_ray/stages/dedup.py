@@ -133,13 +133,14 @@ def band_candidate_pairs(group: pd.DataFrame) -> pd.DataFrame:
 
 
 def band_bucket_candidate_pairs(group: pd.DataFrame) -> pd.DataFrame:
-    """One COARSE band bucket (hash(band_id, band_hash) % n_buckets) holding
-    many exact band keys -> candidate pairs (a<b) for every key inside it.
+    """One COARSE band bucket (a ``cogroup`` bucket of (band_hash, band_id))
+    holding many exact band keys -> candidate pairs (a<b) for every key
+    inside it.
 
     The per-key all-pairs loop runs inside ONE Ray group call: a distinct
     (band_id, band_hash) per ``map_groups`` group would pay Ray's ~5-15 ms
     per-group Python overhead across tens of thousands of near-singleton
-    keys; a coarse bucket pays it ~n_buckets times total."""
+    keys; a coarse bucket pays it once per bucket."""
     pairs = set()
     for _, g in group.groupby(["band_id", "band_hash"], sort=False):
         if len(g) < 2:

@@ -143,9 +143,9 @@ def build_idf(corpus_ds, doc_counts_out: dict | None = None):
         forced = pc.match_substring_regex(keys, r"^([0-9]+|[A-Za-z]+)$").to_numpy(
             zero_copy_only=False)
         idf[forced] = 2.0
-        from .link import DEFAULT_N_BUCKETS, bucket_of
+        from ..kernel.npindex import district_bucket
 
-        buckets = [bucket_of(d, DEFAULT_N_BUCKETS) for d in dists]
+        buckets = [district_bucket(d) for d in dists]
         return pa.table({
             "bucket": pa.array(buckets, pa.int32()),
             "district_key": batch.column("district_key"),

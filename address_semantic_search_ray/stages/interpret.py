@@ -182,14 +182,13 @@ class CorpusInterpretStage(_RegionStateMixin):
     load), plus term_keys (list<string>) for the distributed IDF groupby (A1).
     """
 
-    def __init__(self, region_ref, n_buckets: int = 64):
+    def __init__(self, region_ref):
         self._init_interpreter(region_ref)
-        self.n_buckets = n_buckets
         self._freeze_state()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..kernel.document import analyse, term_idf_key
-        from .link import bucket_of
+        from ..kernel.npindex import district_bucket
 
         it = self.interpreter
         out = {k: [] for k in ("addr_id", "district_key", "town", "village",
@@ -211,7 +210,7 @@ class CorpusInterpretStage(_RegionStateMixin):
             out["residual"].append(a.text)
             out["term_keys"].append([term_idf_key(t) for t in doc.terms])
         self._maybe_gc()
-        buckets = [bucket_of(k, self.n_buckets) for k in out["district_key"]]
+        buckets = [district_bucket(k) for k in out["district_key"]]
         return pa.table({
             "bucket": pa.array(buckets, pa.int32()),
             "addr_id": pa.array(out["addr_id"], pa.int64()),

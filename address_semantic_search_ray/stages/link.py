@@ -1,9 +1,10 @@
 """Entity-linking stage: score mentions against their district's doc vectors.
 
 Layout: doc-vector and idf checkpoints are hive-partitioned by
-``bucket = crc32(district_key) % n_buckets`` (not by raw district — 3k+ tiny
-directories cost more in file-system and read-task overhead than they save;
-a bucket is the pruning unit, a district the lookup unit inside it).
+``bucket = district_bucket(district_key)`` (``kernel/npindex.py``; not by
+raw district — 3k+ tiny directories cost more in file-system and read-task
+overhead than they save; a bucket is the pruning unit, a district the
+lookup unit inside it).
 
 Execution: mentions are SORTED by district_key (the only shuffle) and scored
 by an actor pool; each actor keeps an LRU of loaded buckets, so consecutive
@@ -26,16 +27,9 @@ from collections import OrderedDict
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..kernel.npindex import NpCorpusIndex
+from ..kernel.npindex import NpCorpusIndex, district_bucket
 from .fused import FUSED_SCHEMA
-
-DEFAULT_N_BUCKETS = 64
-
-
-def bucket_of(district_key: str, n_buckets: int = DEFAULT_N_BUCKETS) -> int:
-    from ..kernel.npindex import district_bucket
-
-    return district_bucket(district_key, n_buckets)
+from .interpret import _RegionStateMixin
 
 
 def _read_dir(root: str, bucket: int, columns=None) -> pa.Table | None:
@@ -62,38 +56,22 @@ def load_bucket_index(doc_dir: str, idf_dir: str, bucket: int) -> NpCorpusIndex 
     return NpCorpusIndex.from_tables(docs_tbl, idf_tbl)
 
 
-class LinkerActor:
+class LinkerActor(_RegionStateMixin):
     """Actor-pool scorer with an LRU of loaded buckets: mention rows -> link
     rows (``FUSED_SCHEMA``, the streaming stage's link-row schema, so both
     modes route and finalize them with the same code)."""
 
-    def __init__(self, doc_dir: str, idf_dir: str, top_n: int = 1,
-                 n_buckets: int = DEFAULT_N_BUCKETS, cache_buckets: int = 16):
+    CACHE_BUCKETS = 16  # loaded bucket indexes kept per actor
+
+    def __init__(self, doc_dir: str, idf_dir: str, top_n: int = 1):
         self.doc_dir = doc_dir
         self.idf_dir = idf_dir
         self.top_n = top_n
-        self.n_buckets = n_buckets
-        self.cache_buckets = cache_buckets
         self._cache: OrderedDict[int, NpCorpusIndex | None] = OrderedDict()
-        import gc
-
-        gc.collect()
-        gc.freeze()
-        gc.disable()  # see _RegionStateMixin._freeze_state (+ _maybe_gc)
-        self._gc_tick = 0
+        self._freeze_state()
         # result memo: repeated query shapes (same fields, same district) are
         # common in conversational data; deterministic, bounded
         self._results: dict[tuple, tuple] = {}
-
-    _GC_EVERY = 512  # see _RegionStateMixin._maybe_gc
-
-    def _maybe_gc(self):
-        self._gc_tick += 1
-        if self._gc_tick >= self._GC_EVERY:
-            self._gc_tick = 0
-            import gc
-
-            gc.collect()
 
     def _bucket_index(self, bucket: int) -> dict:
         if bucket in self._cache:
@@ -101,7 +79,7 @@ class LinkerActor:
             return self._cache[bucket]
         idx = load_bucket_index(self.doc_dir, self.idf_dir, bucket)
         self._cache[bucket] = idx
-        if len(self._cache) > self.cache_buckets:
+        if len(self._cache) > self.CACHE_BUCKETS:
             self._cache.popitem(last=False)
         return idx
 
@@ -121,7 +99,7 @@ class LinkerActor:
             if hit is not None:
                 linked, score = hit
             else:
-                idx = self._bucket_index(bucket_of(key, self.n_buckets))
+                idx = self._bucket_index(district_bucket(key))
                 top = idx.find_similar(key, town, village, road, road_num,
                                        residual, top_n=self.top_n) \
                     if idx is not None else []

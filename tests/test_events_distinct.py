@@ -30,13 +30,16 @@ def test_distinct_users_hourly_matches_naive(ray_session):
     assert got_set == _naive(SF_DIR)
 
 
-def test_distinct_users_hourly_bucket_independence(ray_session):
+def test_distinct_users_hourly_bucket_independence(ray_session, monkeypatch):
     # the disjoint-partials argument: results identical at any bucket count
     from address_semantic_search_ray.pipelines.queries import (
         events_distinct_users_hourly)
+    from address_semantic_search_ray.stages import cogroup
 
-    a = events_distinct_users_hourly(SF_DIR, n_buckets=1).to_pandas()
-    b = events_distinct_users_hourly(SF_DIR, n_buckets=7).to_pandas()
+    monkeypatch.setattr(cogroup, "N_COGROUP_BUCKETS", 1)
+    a = events_distinct_users_hourly(SF_DIR).to_pandas()
+    monkeypatch.setattr(cogroup, "N_COGROUP_BUCKETS", 7)
+    b = events_distinct_users_hourly(SF_DIR).to_pandas()
     key = ["event_type", "hour"]
     pd.testing.assert_frame_equal(
         a.sort_values(key).reset_index(drop=True)[key + ["n_users"]],
@@ -61,13 +64,16 @@ def test_retention_matches_naive(ray_session):
     assert got_set == want_set
 
 
-def test_retention_bucket_independence(ray_session):
+def test_retention_bucket_independence(ray_session, monkeypatch):
     from address_semantic_search_ray.pipelines.queries import events_retention
+    from address_semantic_search_ray.stages import cogroup
 
     key = ["cohort_day", "day"]
-    a = (events_retention(SF_DIR, n_buckets=1).to_pandas()
+    monkeypatch.setattr(cogroup, "N_COGROUP_BUCKETS", 1)
+    a = (events_retention(SF_DIR).to_pandas()
          .sort_values(key).reset_index(drop=True)[key + ["n_users"]])
-    b = (events_retention(SF_DIR, n_buckets=5).to_pandas()
+    monkeypatch.setattr(cogroup, "N_COGROUP_BUCKETS", 5)
+    b = (events_retention(SF_DIR).to_pandas()
          .sort_values(key).reset_index(drop=True)[key + ["n_users"]])
     pd.testing.assert_frame_equal(a, b)
 

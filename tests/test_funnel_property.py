@@ -7,6 +7,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,7 @@ def _naive(rows, window_s):
 @given(st.lists(_EVENT, min_size=1, max_size=40))
 def test_funnel_matches_brute_force(ray_session, tmp_path_factory, rows):
     from address_semantic_search_ray.pipelines.queries import events_funnel
+    from address_semantic_search_ray.stages import cogroup
 
     tmp = tmp_path_factory.mktemp("funnel_prop")
     base = pd.Timestamp("2024-01-01").value // 1000  # us
@@ -48,7 +50,9 @@ def test_funnel_matches_brute_force(ray_session, tmp_path_factory, rows):
     })
     pq.write_table(tbl, str(tmp / "events.parquet"))
 
-    got = events_funnel(str(tmp), n_buckets=3).to_pandas()
+    with pytest.MonkeyPatch.context() as mp:  # 3 buckets: users share them
+        mp.setattr(cogroup, "N_COGROUP_BUCKETS", 3)
+        got = events_funnel(str(tmp)).to_pandas()
     want = _naive(rows, 7 * 86400)
     if not want:  # no signup events anywhere -> empty (schemaless) dataset
         assert len(got) == 0
