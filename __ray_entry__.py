@@ -54,7 +54,9 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    # the correctness gate checks only the first 50 entries: KG first
+    # the correctness gate checks only the first 50 entries: the KG
+    # flagship, the operators it has never verified, then the keyed
+    # co-group folds; long-verified entries follow
     return {
         # KG-construction flagship
         "kg_triples": q.kg_triples,
@@ -71,39 +73,56 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_links_explain": q.kg_links_explain,
         "kg_idf": q.kg_idf,
         "kg_turn_stats": q.kg_turn_stats,
-        # relational core (sources, groupby-agg, sort/limit, broadcast join)
-        "pricing_summary": q.pricing_summary,
-        "topk_orders": q.topk_orders,
-        "customer_nation_join": q.customer_nation_join,
-        # stream-shaped windows + temporal joins
+        # operators no gate run has verified yet
+        "similarity_topk_pq": q.similarity_topk_pq,
+        "embedding_kmeans": q.embedding_kmeans,
+        "multimodal_wav_decode": q.multimodal_wav_decode,
+        "multimodal_ppm_decode": q.multimodal_ppm_decode,
+        "multimodal_ppm_resize": q.multimodal_ppm_resize,
+        "events_cdc_compact": q.events_cdc_compact,
+        "events_value_p95_hourly": q.events_value_p95_hourly,
+        "orders_rollup": q.orders_rollup,
+        "docs_bigram_lm": q.docs_bigram_lm,
+        # keyed co-group folds (stages/cogroup.py)
         "asof_join_events_orders": q.asof_join_events_orders,
         "range_join_events_orders": q.range_join_events_orders,
-        "topk_per_group": q.topk_per_group,
         "orders_priority_semijoin": q.orders_priority_semijoin,
         "orders_shipping_priority": q.orders_shipping_priority,
         "nation_market_share": q.nation_market_share,
         "local_supplier_volume": q.local_supplier_volume,
         "supplier_revenue_top": q.supplier_revenue_top,
         "events_running_total": q.events_running_total,
-        "events_hourly": q.events_hourly,
-        "events_hopping": q.events_hopping,
         "events_sessionize": q.events_sessionize,
         "events_topk_hourly": q.events_topk_hourly,
         "events_distinct_users_hourly": q.events_distinct_users_hourly,
         "events_retention": q.events_retention,
-        "events_zscore_hourly": q.events_zscore_hourly,
         "events_funnel": q.events_funnel,
-        "events_approx_users_hll": q.events_approx_users_hll,
         "events_heavy_users_cms": q.events_heavy_users_cms,
-        # dedup family
-        "dedup_exact": q.dedup_exact,
+        "events_unseen_users_bloom": q.events_unseen_users_bloom,
+        "events_user_paths": q.events_user_paths,
         "dedup_wordset_jaccard": q.dedup_wordset_jaccard,
         "dedup_ngram_jaccard": q.dedup_ngram_jaccard,
         "dedup_minhash_lsh": q.dedup_minhash_lsh,
-        "dedup_simhash": q.dedup_simhash,
         "dedup_common_spans": q.dedup_common_spans,
         "dedup_clusters": q.dedup_clusters,
         "dedup_filter": q.dedup_filter,
+        "docs_top_terms": q.docs_top_terms,
+        "docs_tfidf": q.docs_tfidf,
+        "docs_postings": q.docs_postings,
+        "docs_vocab_growth": q.docs_vocab_growth,
+        # relational core (sources, groupby-agg, sort/limit, broadcast join)
+        "pricing_summary": q.pricing_summary,
+        "topk_orders": q.topk_orders,
+        "customer_nation_join": q.customer_nation_join,
+        # stream-shaped windows
+        "topk_per_group": q.topk_per_group,
+        "events_hourly": q.events_hourly,
+        "events_hopping": q.events_hopping,
+        "events_zscore_hourly": q.events_zscore_hourly,
+        "events_approx_users_hll": q.events_approx_users_hll,
+        # dedup family
+        "dedup_exact": q.dedup_exact,
+        "dedup_simhash": q.dedup_simhash,
         "split_assign": q.split_assign,
         # text analysis
         "text_token_count": q.text_token_count,
@@ -112,39 +131,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "text_fingerprint": q.text_fingerprint,
         "text_scrub_pii": q.text_scrub_pii,
         "text_repetition": q.text_repetition,
-        "docs_top_terms": q.docs_top_terms,
         "token_quantiles": q.token_quantiles,
         "decontaminate": q.decontaminate,
         "stratified_sample": q.stratified_sample,
         "docs_pack_sequences": q.docs_pack_sequences,
-        "docs_tfidf": q.docs_tfidf,
-        "docs_postings": q.docs_postings,
         "text_normalize": q.text_normalize,
         "docs_weighted_sample": q.docs_weighted_sample,
-        "docs_vocab_growth": q.docs_vocab_growth,
         "docs_c4_filter": q.docs_c4_filter,
-        "events_unseen_users_bloom": q.events_unseen_users_bloom,
-        "events_user_paths": q.events_user_paths,
-        "events_cdc_compact": q.events_cdc_compact,
-        "events_value_p95_hourly": q.events_value_p95_hourly,
-        "orders_rollup": q.orders_rollup,
-        "docs_bigram_lm": q.docs_bigram_lm,
         "lang_stats": q.lang_stats,
         # similarity search
         "similarity_topk": q.similarity_topk,
         "similarity_topk_lsh": q.similarity_topk_lsh,
         "similarity_topk_ivf": q.similarity_topk_ivf,
-        "similarity_topk_pq": q.similarity_topk_pq,
         "knn_graph": q.knn_graph,
         "embedding_near_dup": q.embedding_near_dup,
         "embedding_near_dup_lsh": q.embedding_near_dup_lsh,
-        "embedding_kmeans": q.embedding_kmeans,
         # multimodal plumbing
         "multimodal_image_meta": q.multimodal_image_meta,
         "multimodal_audio_frames": q.multimodal_audio_frames,
-        "multimodal_wav_decode": q.multimodal_wav_decode,
-        "multimodal_ppm_decode": q.multimodal_ppm_decode,
-        "multimodal_ppm_resize": q.multimodal_ppm_resize,
         # secondary reference pipelines
         "town_mining": q.town_mining,
         "regression_harness": q.regression_harness,

@@ -507,7 +507,7 @@ def events_funnel(sf_dir: str, step_a: str = "signup",
     the other event types."""
     ds = _read(sf_dir, "events", ["event_type", "user_id", "ts"])
 
-    def prune(batch: pa.Table) -> pa.Table:
+    def prune(batch: pa.Table) -> pd.DataFrame:
         t = batch.filter(pc.is_in(batch.column("event_type"),
                                   value_set=pa.array([step_a, step_b])))
         df = pd.DataFrame({
@@ -516,7 +516,7 @@ def events_funnel(sf_dir: str, step_a: str = "signup",
                       .astype("datetime64[us]").astype("int64"),
             "is_b": pc.equal(t.column("event_type"), step_b).to_pandas(),
         })
-        return _arrow(df)
+        return df
 
     def convert(g: pd.DataFrame) -> pd.DataFrame:
         a = g[~g["is_b"]].groupby("user_id")["ts_us"].min()
@@ -549,14 +549,14 @@ def events_distinct_users_hourly(sf_dir: str):
     window (every user active in one hour) still spreads over the buckets."""
     ds = _read(sf_dir, "events", ["event_type", "ts", "user_id"])
 
-    def local_distinct(batch: pa.Table) -> pa.Table:
+    def local_distinct(batch: pa.Table) -> pd.DataFrame:
         hour = _hour_key(batch.column("ts"))
         df = pd.DataFrame({
             "event_type": batch.column("event_type").to_pandas(),
             "hour": hour.to_pandas(),
             "user_id": batch.column("user_id").to_pandas(),
         }).drop_duplicates()
-        return _arrow(df)
+        return df
 
     def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
         part = (g.drop_duplicates(["event_type", "hour", "user_id"])
@@ -594,14 +594,14 @@ def events_retention(sf_dir: str):
     strings == chronological min."""
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
-    def local_distinct(batch: pa.Table) -> pa.Table:
+    def local_distinct(batch: pa.Table) -> pd.DataFrame:
         day = pc.strftime(pc.floor_temporal(batch.column("ts"), unit="day"),
                           format="%Y-%m-%d")
         df = pd.DataFrame({
             "user_id": batch.column("user_id").to_pandas(),
             "day": day.to_pandas(),
         }).drop_duplicates()
-        return _arrow(df)
+        return df
 
     def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "day"])
@@ -912,9 +912,9 @@ def _prefix_filter_pairs(docs, df_agg, n_docs: int, sim_fn, threshold: float,
                          b.column("df").to_pylist()))
     df_ref = ray.put(heavy)
 
-    def postings(batch: pd.DataFrame) -> pa.Table:
-        return _arrow(ngram_prefix_postings(batch, ray.get(df_ref), threshold,
-                                            cap=cap, tokens_of=tokens_of))
+    def postings(batch: pd.DataFrame) -> pd.DataFrame:
+        return ngram_prefix_postings(batch, ray.get(df_ref), threshold,
+                                     cap=cap, tokens_of=tokens_of)
 
     cands = cogroup(docs.map_batches(postings, batch_format="pandas"),
                     "shingle", shingle_bucket_candidate_pairs).materialize()
@@ -1070,6 +1070,8 @@ def _verify_candidate_pairs(docs, cands, sim_fn, threshold: float):
     def filter_docs(tbl: pa.Table) -> pa.Table:
         t = tbl.filter(pc.is_in(tbl.column("doc_id"), value_set=ray.get(ids_ref)))
         n = t.num_rows
+        # pair columns are filler: the union needs one schema, and
+        # attach_texts tells the sides apart by ``_side``
         neg = pa.array(np.full(n, -1, dtype=np.int64), pa.int64())
         return pa.table({"doc_id": t.column("doc_id"), "doc_id_a": neg,
                          "doc_id_b": neg, "text": t.column("text")})
@@ -1081,8 +1083,8 @@ def _verify_candidate_pairs(docs, cands, sim_fn, threshold: float):
         drops the duplicate halves of a pair caught by two bands whose keys
         hashed to different coarse buckets (both copies of a half land here —
         same doc_id — so a local distinct is a GLOBAL pair dedup)."""
-        texts = group[group["doc_id_a"] < 0][["doc_id", "text"]]
-        pairs = (group[group["doc_id_a"] >= 0][["doc_id", "doc_id_a", "doc_id_b"]]
+        texts = group[group["_side"] == 1][["doc_id", "text"]]
+        pairs = (group[group["_side"] == 0][["doc_id", "doc_id_a", "doc_id_b"]]
                  .drop_duplicates())
         out = pairs.merge(texts, on="doc_id", how="inner")
         return out[["doc_id", "doc_id_a", "doc_id_b", "text"]]
@@ -1210,8 +1212,8 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
         a = df["doc_id_a"].to_numpy()
         b = df["doc_id_b"].to_numpy()
         node = np.concatenate([a, b])
-        # arrow blocks (both union sides must match, and the groupby
-        # shuffle is ~12x faster on arrow)
+        # label is filler (the union needs one schema; propagate reads
+        # ``_side``); arrow because the node aggregate below shuffles it
         return _arrow(pd.DataFrame({"node": node,
                                     "peer": np.concatenate([b, a]),
                                     "label": np.full(len(node), sentinel)}))
@@ -1234,9 +1236,9 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
         return int(ds.aggregate(Sum("label"))["sum(label)"])
 
     def propagate(group: pd.DataFrame) -> pd.DataFrame:
-        """One node bucket: label rows (peer<0) + edge rows (peer>=0)."""
-        lab = group[group["peer"] < 0].set_index("node")["label"]
-        e = group[group["peer"] >= 0]
+        """One node bucket: edge rows (side 0) + label rows (side 1)."""
+        lab = group[group["_side"] == 1].set_index("node")["label"]
+        e = group[group["_side"] == 0]
         nodes = np.concatenate([e["peer"].to_numpy(), lab.index.to_numpy()])
         labs = np.concatenate([lab.loc[e["node"]].to_numpy(), lab.to_numpy()])
         out = pd.DataFrame({"node": nodes, "label": labs})
@@ -1309,7 +1311,7 @@ def events_topk_hourly(sf_dir: str, k: int = 3):
     distinct hour) with a vectorized per-hour head inside."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial(batch: pa.Table) -> pd.DataFrame:
         hour = _hour_key(batch.column("ts"))
         df = pd.DataFrame({
             "hour": hour.to_pandas(),
@@ -1318,7 +1320,7 @@ def events_topk_hourly(sf_dir: str, k: int = 3):
         })
         g = (df.sort_values(["value", "event_id"], ascending=False, kind="stable")
              .groupby("hour", sort=False).head(k))
-        return _arrow(g)
+        return g
 
     def final(group: pd.DataFrame) -> pd.DataFrame:
         g = (group.sort_values(["value", "event_id"], ascending=False,
@@ -1544,7 +1546,7 @@ def docs_vocab_growth(sf_dir: str, n_buckets: int = 64):
     tok_empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "w": pa.array([], pa.string())})
 
-    def explode_distinct(df: pd.DataFrame) -> pa.Table:
+    def explode_distinct(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         if not len(df):
             return tok_empty
         toks = df["text"].map(lambda t: list(set(t.split(" "))))
@@ -1552,7 +1554,7 @@ def docs_vocab_growth(sf_dir: str, n_buckets: int = 64):
         out = pd.DataFrame({
             "doc_id": np.repeat(df["doc_id"].to_numpy(dtype=np.int64), lens),
             "w": np.concatenate(toks.to_numpy())})
-        return _arrow(out)
+        return out
 
     def first_docs(g: pd.DataFrame) -> pd.DataFrame:
         counts = g.groupby("w", sort=False)["doc_id"].min().value_counts()
@@ -1672,7 +1674,7 @@ def docs_postings(sf_dir: str):
     per term == df, no second distinct pass, no vocabulary broadcast)."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def explode_tf(df: pd.DataFrame) -> pa.Table:
+    def explode_tf(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         if not len(df):
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "term": pa.array([], pa.string()),
@@ -1687,7 +1689,7 @@ def docs_postings(sf_dir: str):
         tf = flat.groupby(["doc_id", "term"], sort=False, as_index=False) \
             .agg(tf=("term", "size"))
         tf["tf"] = tf["tf"].astype(np.int64)
-        return _arrow(tf)
+        return tf
 
     def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("term", as_index=False).agg(
@@ -1760,7 +1762,7 @@ def docs_tfidf(sf_dir: str, k: int = 3):
     n_docs = float(pq.ParquetFile(_t(sf_dir, "documents")).metadata.num_rows)
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def explode_tf(df: pd.DataFrame) -> pa.Table:
+    def explode_tf(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         if not len(df):
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "term": pa.array([], pa.string()),
@@ -1773,7 +1775,7 @@ def docs_tfidf(sf_dir: str, k: int = 3):
         tf = flat.groupby(["doc_id", "term"], sort=False, as_index=False) \
             .agg(tf=("term", "size"))
         tf["tf"] = tf["tf"].astype(np.int64)
-        return _arrow(tf)
+        return tf
 
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # one row per (doc, term) -> bucket-local rows per term == df(term)
@@ -1844,7 +1846,7 @@ def docs_top_terms(sf_dir: str, k: int = 10):
     leaves its bucket; the driver sees nothing."""
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
-    def partial_counts(df: pd.DataFrame) -> pa.Table:
+    def partial_counts(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         if not len(df):  # np.concatenate needs >= 1 array (ADVICE r4)
             return pa.table({"lang": pa.array([], pa.string()),
                              "tok": pa.array([], pa.string()),
@@ -1857,7 +1859,7 @@ def docs_top_terms(sf_dir: str, k: int = 10):
         part = flat.groupby(["lang", "tok"], sort=False, as_index=False) \
             .agg(n=("tok", "size"))
         part["n"] = part["n"].astype(np.int64)
-        return _arrow(part)
+        return part
 
     def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby(["lang", "tok"], sort=False, as_index=False)["n"].sum()
@@ -2708,11 +2710,11 @@ def kg_region_degree(sf_dir: str):
     ds = rd.read_parquet(_kg_artifacts(sf_dir)["triples"],
                          columns=["pred", "obj"])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
         part = df.groupby(["obj", "pred"], sort=False, as_index=False) \
             .agg(n=("pred", "size"))
         part["n"] = part["n"].astype(np.int64)
-        return _arrow(part)
+        return part
 
     def sum_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["obj", "pred"], sort=False, as_index=False)["n"].sum()
@@ -2873,12 +2875,12 @@ def _cooccur_edges_compute(sf_dir: str):
     ds = rd.read_parquet(_kg_artifacts(sf_dir)["triples"],
                          columns=["pred", "obj", "conv_id"])
 
-    def local_distinct(t: pa.Table) -> pa.Table:
+    def local_distinct(t: pa.Table) -> pd.DataFrame:
         t = t.filter(pc.equal(t.column("pred"), "mentions"))
         df = pd.DataFrame({"conv_id": t.column("conv_id").to_pandas(),
                            "obj": t.column("obj").to_pandas()}) \
             .drop_duplicates()
-        return _arrow(df)
+        return df
 
     def conv_pairs(g: pd.DataFrame) -> pa.Table:
         g = (g.drop_duplicates(["conv_id", "obj"])
@@ -3071,20 +3073,20 @@ def range_join_events_orders(sf_dir: str, window_days: int = 30):
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
 
-    def event_side(df: pd.DataFrame) -> pa.Table:
-        return _arrow(pd.DataFrame({
+    def event_side(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
             "event_id": df["event_id"].astype("int64"),
             "user_id": df["user_id"].astype("int64"),
             "ts_us": df["ts"].astype("datetime64[us]").astype("int64"),
-        }))
+        })
 
-    def order_side(df: pd.DataFrame) -> pa.Table:
-        return _arrow(pd.DataFrame({
+    def order_side(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
             "event_id": np.int64(-1),
             "user_id": df["o_custkey"].astype("int64"),
             "ts_us": df["o_orderdate"].astype("datetime64[us]")
                      .astype("int64"),
-        }))
+        })
 
     win_us = window_days * 86_400 * 1_000_000
 
@@ -3226,25 +3228,25 @@ def orders_priority_semijoin(sf_dir: str):
                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
     items = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
-    def order_side(df: pd.DataFrame) -> pa.Table:
-        return _arrow(pd.DataFrame({
+    def order_side(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
             "key": df["o_orderkey"].to_numpy(dtype=np.int64),
             "date_us": df["o_orderdate"].astype("datetime64[us]")
                         .astype("int64"),
             "prio": df["o_orderpriority"],
-        }))
+        })
 
-    def item_side(df: pd.DataFrame) -> pa.Table:
+    def item_side(df: pd.DataFrame) -> pd.DataFrame:
         g = pd.DataFrame({
             "key": df["l_orderkey"].to_numpy(dtype=np.int64),
             "date_us": df["l_shipdate"].astype("datetime64[us]")
                         .astype("int64"),
         }).groupby("key", as_index=False)["date_us"].max()
-        return _arrow(pd.DataFrame({
+        return pd.DataFrame({
             "key": g["key"].to_numpy(dtype=np.int64),
             "date_us": g["date_us"].to_numpy(dtype=np.int64),
             "prio": np.full(len(g), "", dtype=object),
-        }))
+        })
 
     def join_bucket(g: pd.DataFrame) -> pa.Table:
         o = g[g["_side"] == 0]
@@ -3318,7 +3320,7 @@ def orders_shipping_priority(sf_dir: str, cutoff: str = "1998-06-01",
                           "o_orderdate_us": pa.array([], pa.int64()),
                           "o_orderpriority": pa.array([], pa.string())})
 
-    def order_side(df: pd.DataFrame) -> pa.Table:
+    def order_side(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         odate = df["o_orderdate"].astype("datetime64[us]").astype("int64")
         df = df.assign(odate_us=odate)[odate.to_numpy() < cut_us]
         if len(df):
@@ -3326,13 +3328,13 @@ def orders_shipping_priority(sf_dir: str, cutoff: str = "1998-06-01",
             df = df[np.isin(df["o_custkey"].to_numpy(dtype=np.int64), ck)]
         if not len(df):
             return union_empty
-        return _arrow(pd.DataFrame({
+        return pd.DataFrame({
             "key": df["o_orderkey"].to_numpy(dtype=np.int64),
             "odate_us": df["odate_us"].to_numpy(dtype=np.int64),
             "prio": df["o_orderpriority"],
-            "rev": np.zeros(len(df), dtype=np.float64)}))
+            "rev": np.zeros(len(df), dtype=np.float64)})
 
-    def item_side(df: pd.DataFrame) -> pa.Table:
+    def item_side(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         ship = df["l_shipdate"].astype("datetime64[us]").astype("int64")
         df = df[ship.to_numpy() > cut_us]
         if not len(df):
@@ -3342,11 +3344,11 @@ def orders_shipping_priority(sf_dir: str, cutoff: str = "1998-06-01",
             "rev": df["l_extendedprice"].to_numpy()
                    * (1.0 - df["l_discount"].to_numpy()),
         }).groupby("key", as_index=False)["rev"].sum()
-        return _arrow(pd.DataFrame({
+        return pd.DataFrame({
             "key": g["key"].to_numpy(dtype=np.int64),
             "odate_us": np.zeros(len(g), dtype=np.int64),
             "prio": np.full(len(g), "", dtype=object),
-            "rev": g["rev"].to_numpy(dtype=np.float64)}))
+            "rev": g["rev"].to_numpy(dtype=np.float64)})
 
     def join_bucket(g: pd.DataFrame) -> pa.Table:
         o = g[g["_side"] == 0][["key", "odate_us", "prio"]]
@@ -3441,7 +3443,7 @@ def nation_market_share(sf_dir: str, region_name: str = "ASIA",
                            "supp_nation": pa.array([], pa.string()),
                            "vol": pa.array([], pa.float64())})
 
-    def order_side(df: pd.DataFrame) -> pa.Table:
+    def order_side(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         if not len(df):
             return union_empty
         ckeys, _, _ = ray.get(dims_ref)
@@ -3451,12 +3453,12 @@ def nation_market_share(sf_dir: str, region_name: str = "ASIA",
             return union_empty
         year = df["o_orderdate"].astype("datetime64[us]") \
             .dt.year.to_numpy(dtype=np.int64)
-        return _arrow(pd.DataFrame({
+        return pd.DataFrame({
             "key": df["o_orderkey"].to_numpy(dtype=np.int64), "o_year": year,
             "supp_nation": np.full(len(df), "", dtype=object),
-            "vol": np.zeros(len(df), dtype=np.float64)}))
+            "vol": np.zeros(len(df), dtype=np.float64)})
 
-    def item_side(df: pd.DataFrame) -> pa.Table:
+    def item_side(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         if not len(df):
             return union_empty
         _, supp_nation, pkeys = ray.get(dims_ref)
@@ -3470,11 +3472,11 @@ def nation_market_share(sf_dir: str, region_name: str = "ASIA",
             "vol": df["l_extendedprice"].to_numpy()
                    * (1.0 - df["l_discount"].to_numpy()),
         }).groupby(["key", "supp_nation"], as_index=False)["vol"].sum()
-        return _arrow(pd.DataFrame({
+        return pd.DataFrame({
             "key": g["key"].to_numpy(dtype=np.int64),
             "o_year": np.zeros(len(g), dtype=np.int64),
             "supp_nation": g["supp_nation"],
-            "vol": g["vol"].to_numpy(dtype=np.float64)}))
+            "vol": g["vol"].to_numpy(dtype=np.float64)})
 
     def join_bucket(g: pd.DataFrame) -> pa.Table:
         o = g[g["_side"] == 0][["key", "o_year"]]
@@ -3574,7 +3576,7 @@ def local_supplier_volume(sf_dir: str, region_name: str = "ASIA",
     part_empty = pa.table({"nat": pa.array([], pa.int64()),
                            "vol": pa.array([], pa.float64())})
 
-    def order_side(df: pd.DataFrame) -> pa.Table:
+    def order_side(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         if not len(df):
             return union_empty
         odate = df["o_orderdate"].astype("datetime64[us]").astype("int64")
@@ -3587,12 +3589,12 @@ def local_supplier_volume(sf_dir: str, region_name: str = "ASIA",
         df, nat = df[keep], nat[keep]
         if not len(df):
             return union_empty
-        return _arrow(pd.DataFrame({
+        return pd.DataFrame({
             "key": df["o_orderkey"].to_numpy(dtype=np.int64),
             "nat": nat.to_numpy(dtype=np.int64),
-            "vol": np.zeros(len(df), dtype=np.float64)}))
+            "vol": np.zeros(len(df), dtype=np.float64)})
 
-    def item_side(df: pd.DataFrame) -> pa.Table:
+    def item_side(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         if not len(df):
             return union_empty
         supp_nat, _, _ = ray.get(dims_ref)
@@ -3607,8 +3609,8 @@ def local_supplier_volume(sf_dir: str, region_name: str = "ASIA",
             "vol": df["l_extendedprice"].to_numpy()
                    * (1.0 - df["l_discount"].to_numpy()),
         }).groupby(["key", "nat"], as_index=False)["vol"].sum()
-        return _arrow(g.astype({"key": np.int64, "nat": np.int64,
-                                "vol": np.float64}))
+        return g.astype({"key": np.int64, "nat": np.int64,
+                         "vol": np.float64})
 
     def join_bucket(g: pd.DataFrame) -> pa.Table:
         o = g[g["_side"] == 0][["key", "nat"]]
@@ -3778,7 +3780,7 @@ def kg_conv_first_mentions(sf_dir: str):
     ds = rd.read_parquet(_kg_artifacts(sf_dir)["triples"],
                          columns=["pred", "conv_id", "obj", "turn_idx"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> pd.DataFrame:
         t = t.filter(pc.equal(t.column("pred"), "mentions"))
         df = pd.DataFrame({
             "conv_id": t.column("conv_id").to_pandas(),
@@ -3790,7 +3792,7 @@ def kg_conv_first_mentions(sf_dir: str):
                      n_mentions=("turn_idx", "size")))
         part["first_turn"] = part["first_turn"].astype(np.int64)
         part["n_mentions"] = part["n_mentions"].astype(np.int64)
-        return _arrow(part)
+        return part
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["conv_id", "obj"], sort=False, as_index=False)
@@ -4250,12 +4252,12 @@ def events_running_total(sf_dir: str):
     driver state, output streams bucket by bucket."""
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
-    def to_us(df: pd.DataFrame) -> pa.Table:
-        return _arrow(pd.DataFrame({
+    def to_us(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
             "event_id": df["event_id"].to_numpy(dtype=np.int64),
             "ts_us": df["ts"].astype("datetime64[us]").astype("int64"),
             "user_id": df["user_id"].to_numpy(dtype=np.int64),
-            "value": df["value"].to_numpy(dtype=np.float64)}))
+            "value": df["value"].to_numpy(dtype=np.float64)})
 
     def bucket_scan(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
@@ -4292,7 +4294,7 @@ def events_cdc_compact(sf_dir: str):
                       "last_event_type": pa.array([], pa.string()),
                       "last_value": pa.array([], pa.float64())})
 
-    def partial(df: pd.DataFrame) -> pa.Table:
+    def partial(df: pd.DataFrame) -> pd.DataFrame | pa.Table:
         if not len(df):
             return empty
         g = pd.DataFrame({
@@ -4305,7 +4307,7 @@ def events_cdc_compact(sf_dir: str):
         }).sort_values(["user_id", "last_ts_us", "last_event_id"],
                        kind="mergesort").groupby("user_id", sort=False) \
             .tail(1)
-        return _arrow(g)
+        return g
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "last_ts_us", "last_event_id"],
@@ -4489,8 +4491,7 @@ def docs_bigram_lm(sf_dir: str):
         return pa.table({"doc_id": pa.array(doc_ids, pa.int64()),
                          "key": key})
 
-    def _fold_partial(g: pd.DataFrame, sign: float,
-                      count_n: bool) -> pd.DataFrame:
+    def _fold_partial(g: pd.DataFrame, sign: float) -> pd.DataFrame:
         c = g.groupby("key", sort=False)["doc_id"].transform("size") \
             .to_numpy(dtype=np.int64)
         log_of = {int(d): math.log(d) for d in np.unique(c)}
@@ -4499,20 +4500,20 @@ def docs_bigram_lm(sf_dir: str):
                              "ln": sign * ln_c})
         agg = part.groupby("doc_id", as_index=False).agg(
             s=("ln", "sum"), n=("ln", "size"))
-        if count_n:
-            agg["n"] = agg["n"].astype(np.int64)
-        else:
-            agg["n"] = np.zeros(len(agg), dtype=np.int64)
+        agg["n"] = agg["n"].astype(np.int64)
         return agg[["doc_id", "s", "n"]]
 
     bg_parts = cogroup(docs.map_batches(lambda df: _explode(df, "bg"),
                                         batch_format="pandas"),
-                       "key", lambda g: _fold_partial(g, 1.0, True))
+                       "key", lambda g: _fold_partial(g, 1.0))
     w1_parts = cogroup(docs.map_batches(lambda df: _explode(df, "w1"),
                                         batch_format="pandas"),
-                       "key", lambda g: _fold_partial(g, -1.0, False))
+                       "key", lambda g: _fold_partial(g, -1.0))
 
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
+        # n_bigrams counts the bigram side (0) only
+        g = g.assign(n=np.where(g["_side"].to_numpy() == 0,
+                                g["n"].to_numpy(dtype=np.int64), 0))
         out = g.groupby("doc_id", as_index=False).agg(
             s=("s", "sum"), n_bigrams=("n", "sum"))
         out = out[out["n_bigrams"] > 0]

@@ -14,8 +14,9 @@ The helper owns the whole decision:
   combined into one;
 - **count**: ``N_COGROUP_BUCKETS``, read when the plan is built;
 - **plan**: the sides are tagged (``_side`` = position) and unioned, then
-  one ``groupby("_b").map_groups(fold)``; a fold may return a DataFrame,
-  which becomes a metadata-free Arrow block.
+  one ``groupby("_b").map_groups(fold)``. Tagging makes every shuffled
+  block metadata-free Arrow, so a side may emit DataFrames; a fold may
+  return a DataFrame too, which becomes a metadata-free Arrow block.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ SIDE = "_side"
 
 
 def to_arrow(df: pd.DataFrame) -> pa.Table:
-    """pandas -> metadata-free Arrow block. Stages that feed a ``groupby`` /
-    ``aggregate`` must emit ARROW blocks: Ray 2.49's sort-shuffle takes a
-    per-row python path on pandas blocks (~12x slower — measured 6.7 s vs
-    0.56 s aggregating the same 14.7k partial rows)."""
+    """pandas -> metadata-free Arrow block. Stages that feed a plain
+    ``groupby`` / ``aggregate`` must emit ARROW blocks: Ray 2.49's
+    sort-shuffle takes a per-row python path on pandas blocks (~12x slower
+    — measured 6.7 s vs 0.56 s aggregating the same 14.7k partial rows).
+    ``cogroup`` tags its sides in Arrow, so they need not."""
     return pa.Table.from_pandas(df, preserve_index=False) \
         .replace_schema_metadata(None)
 
@@ -69,6 +71,8 @@ def bucket_of(t: pa.Table, key, n: int) -> np.ndarray:
 
 
 def _tag(t: pa.Table, key, n: int, side) -> pa.Table:
+    # a side that emitted DataFrames arrives with pandas schema metadata
+    t = t.replace_schema_metadata(None)
     if side is not None:
         t = t.append_column(SIDE, pa.array(np.full(t.num_rows, side,
                                                    dtype=np.int64)))
@@ -79,9 +83,10 @@ def cogroup(sides, key, fold):
     """Co-group ``sides`` (one Dataset, or a list of Datasets sharing one
     schema) by ``key`` and apply ``fold(group: pd.DataFrame)`` per bucket.
 
-    With several sides each row carries its side's position in ``_side``.
-    Every group also carries the ``_b`` column. ``fold`` returns a
-    DataFrame or an Arrow table."""
+    A side may emit DataFrames or Arrow tables. With several sides each
+    row carries its side's position in ``_side``; a fold tells the sides
+    apart by it. Every group also carries the ``_b`` column. ``fold``
+    returns a DataFrame or an Arrow table."""
     n = N_COGROUP_BUCKETS
     if not isinstance(sides, (list, tuple)):
         sides = [sides]
