@@ -154,11 +154,6 @@ def analyse(addr: Address, idf_lookup=None, segment=simple_segment, doc_id: int 
     )
 
 
-def doc_term_keys(doc: Doc) -> list[str]:
-    """All idf keys of a doc — the unit of the distributed DF count (A1)."""
-    return [term_idf_key(t) for t in doc.terms]
-
-
 # -- debug .vt codec (SimilarityComputer.java:331-380) ----------------------
 
 def serialize(doc: Doc) -> str:

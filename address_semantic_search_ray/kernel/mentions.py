@@ -90,3 +90,17 @@ def district_key(addr: Address) -> str:
     if addr.city.children:
         return f"{addr.province.id}-{addr.city.id}-{addr.district.id}"
     return f"{addr.province.id}-{addr.city.id}"
+
+
+# the fields of a link query, in ``find_similar``'s argument order: the
+# column names the corpus and mention stages write, and ``query_key``'s tuple
+QUERY_COLUMNS = ("district_key", "town", "village", "road", "road_num", "residual")
+
+
+def query_key(addr: Address) -> tuple:
+    """An interpreted address's link query (``QUERY_COLUMNS``): the
+    argument tuple of ``find_similar`` and the key of every link memo."""
+    return (district_key(addr),
+            addr.town.name if addr.town is not None else "",
+            addr.village.name if addr.village is not None else "",
+            addr.road, addr.road_num, addr.text)

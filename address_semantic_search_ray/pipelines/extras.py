@@ -19,8 +19,11 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..kernel.mentions import QUERY_COLUMNS, query_key
+from ..stages.fused import resolve_index
 from ..stages.interpret import _RegionStateMixin
-from ..kernel.mentions import district_key
+from ..stages.link import LinkMemo, query_rows, top1_link_memo
+from .kg import build_index_ref
 
 SIM_THRESHOLD = 0.85  # RegressionTestRunTest.java:150-184
 
@@ -86,13 +89,10 @@ class RegressionLinkStage(_RegionStateMixin):
     """regression rows -> (order_no, grid_id, linked_grid, similarity)."""
 
     def __init__(self, region_ref, index_ref, grid_ref):
-        import ray as _ray
-
-        from ..stages.fused import resolve_index
-
         self._init_interpreter(region_ref)
-        self.np_index = resolve_index(index_ref)  # single payload or sharded
-        self.grid_by_addr = _ray.get(grid_ref)
+        # single payload or sharded
+        self._link = top1_link_memo(resolve_index(index_ref).find_similar)
+        self.grid_by_addr = ray.get(grid_ref)
         self._freeze_state()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -107,14 +107,8 @@ class RegressionLinkStage(_RegionStateMixin):
             linked_grid, sim = "", 0.0
             if a is not None and a.province is not None and a.city is not None \
                     and a.district is not None:
-                top = self.np_index.find_similar(
-                    district_key(a),
-                    a.town.name if a.town else "",
-                    a.village.name if a.village else "",
-                    a.road, a.road_num, a.text, top_n=1)
-                if top:
-                    linked_grid = self.grid_by_addr.get(top[0][0], "")
-                    sim = top[0][1]
+                linked, sim = self._link(query_key(a))
+                linked_grid = self.grid_by_addr.get(linked, "")
             orders.append(order_no)
             grids.append(grid)
             linked_grids.append(linked_grid)
@@ -134,30 +128,13 @@ def regression_accuracy(data_dir: str, region_dict_path: str | None = None,
     import pyarrow.parquet as pq
 
     from ..sources.readers import read_regression_csv
-    from ..stages.interpret import CorpusInterpretStage, put_region_table
-    from .kg import (SMALL_INDEX_OVERLAP_MAX_BYTES, _build_small_corpus_index,
-                     build_sharded_index_refs, estimate_index_bytes)
+    from ..stages.interpret import put_region_table
     from .oracle import default_region_dict_path
 
     region_dict_path = region_dict_path or default_region_dict_path()
     region_ref = put_region_table(region_dict_path)
     addresses_path = os.path.join(data_dir, "addresses.parquet")
-
-    # corpus index via the kg pipeline's own builders — the corpus never
-    # funnels through the driver (small side: one overlapped build task;
-    # big side: distributed interpret + per-bucket sharded build)
-    if estimate_index_bytes(addresses_path) <= SMALL_INDEX_OVERLAP_MAX_BYTES:
-        index_ref = _build_small_corpus_index.remote(addresses_path, region_ref)
-    else:
-        corpus_ds = (
-            rd.read_parquet(addresses_path, columns=["addr_id", "text"])
-            .repartition(concurrency * 2)
-            .map_batches(CorpusInterpretStage, fn_constructor_args=(region_ref,),
-                         batch_format="pyarrow", batch_size=2048,
-                         concurrency=max(2, concurrency // 2))
-            .materialize()
-        )
-        index_ref = build_sharded_index_refs(corpus_ds)
+    index_ref = build_index_ref(addresses_path, region_ref, concurrency)
 
     addr_tbl = pq.read_table(addresses_path, columns=["addr_id", "grid_id"])
     grid_ref = ray.put(dict(zip(addr_tbl.column("addr_id").to_pylist(),
@@ -220,7 +197,7 @@ EXPLAIN_SCHEMA = pa.schema([
 ])
 
 
-class ExplainLinker:
+class ExplainLinker(_RegionStateMixin):
     """Actor-pool explain-mode scorer: mention rows -> one row per
     (candidate rank, matched term) — the reference's ``explain && topN``
     path (SimilarityComputer.java:456-550 + MatchedTerm.java:3-45; surfaced
@@ -236,63 +213,43 @@ class ExplainLinker:
     those winners."""
 
     def __init__(self, np_index_ref, top_n: int = 2):
-        from ..stages.fused import resolve_index
-
         self.np_index = resolve_index(np_index_ref)
         self.top_n = top_n
-        # structured-key memo, same shape as MentionLinkTriplesStage's: mention
-        # TEXTS are ~97% distinct on transcript streams but the interpreted
-        # (district, town, village, road, road_num, residual) tuple repeats
-        # heavily (~79% hit at base sf0.1, BASELINE.md); the ranked winners +
-        # their MatchedTerm breakdown depend only on that tuple. Bounded.
-        self._results: dict = {}
-        import gc
+        # mention TEXTS are ~97% distinct on transcript streams but the link
+        # query repeats heavily (~79% hit at base sf0.1, BASELINE.md); the
+        # ranked winners + their MatchedTerm breakdown depend only on it
+        self._ranked = LinkMemo(self._rank)
+        self._freeze_state()
 
-        gc.collect()
-        gc.freeze()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _rank(self, query: tuple) -> list:
+        """query -> [(doc_id, sim, MatchedTerm rows)] for its <=top_n winners."""
         import numpy as np
 
         idx = self.np_index
-        results = self._results
+        key = query[0]
+        sims = idx.score_district(*query)
+        if sims is None:
+            return []
+        sims = np.asarray(sims, dtype=np.float64)
+        pos = np.flatnonzero(sims > 0.0)
+        # == find_similar_explain's filter + stable sort desc (both indexes
+        # list a district's docs in corpus row order, so ties break
+        # identically)
+        sel = pos[np.argsort(-sims[pos], kind="stable")][:self.top_n]
+        return [(idx.doc_id_at(key, int(i)), float(sims[int(i)]),
+                 idx.explain_matched(key, int(i), *query[1:]))
+                for i in sel]
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        self._maybe_gc()
         out = {name: [] for name in EXPLAIN_SCHEMA.names}
-        for conv_id, turn_idx, mention_idx, key, town, village, road, road_num, residual in zip(
+        for conv_id, turn_idx, mention_idx, query in zip(
             batch.column("conv_id").to_pylist(),
             batch.column("turn_idx").to_pylist(),
             batch.column("mention_idx").to_pylist(),
-            batch.column("district_key").to_pylist(),
-            batch.column("town").to_pylist(),
-            batch.column("village").to_pylist(),
-            batch.column("road").to_pylist(),
-            batch.column("road_num").to_pylist(),
-            batch.column("residual").to_pylist(),
+            query_rows(batch),
         ):
-            memo_key = (key, town, village, road, road_num, residual)
-            ranked = results.get(memo_key)
-            if ranked is None:
-                sims = idx.score_district(key, town, village, road, road_num,
-                                          residual)
-                if sims is None:
-                    ranked = []
-                else:
-                    sims = np.asarray(sims, dtype=np.float64)
-                    pos = np.flatnonzero(sims > 0.0)
-                    # == find_similar_explain's filter + stable sort desc
-                    # (both indexes list a district's docs in corpus row
-                    # order, so ties break identically)
-                    sel = pos[np.argsort(-sims[pos],
-                                         kind="stable")][:self.top_n]
-                    ranked = [
-                        (idx.doc_id_at(key, int(i)), float(sims[int(i)]),
-                         idx.explain_matched(key, int(i), town, village, road,
-                                             road_num, residual))
-                        for i in sel
-                    ]
-                if len(results) > 200_000:
-                    results.clear()
-                results[memo_key] = ranked
-            for rank, (doc_id, sim, matched) in enumerate(ranked):
+            for rank, (doc_id, sim, matched) in enumerate(self._ranked(query)):
                 for mt in matched:
                     out["conv_id"].append(conv_id)
                     out["turn_idx"].append(turn_idx)
@@ -318,14 +275,11 @@ def links_explain(data_dir: str, mentions_dir: str, top_n: int = 2,
 
     ONE broadcast index (the flat numpy payload, plasma-mapped zero-copy per
     node) drives both the per-district scan and the per-term MatchedTerm
-    breakdown; no per-actor python-Doc replica. Built via the kg pipeline's
-    size-routed builders, so corpora beyond the single-task budget get the
+    breakdown; no per-actor python-Doc replica. Built by the kg pipeline's
+    ``build_index_ref``, so corpora beyond the single-task budget get the
     sharded per-bucket build (the index shape ExplainLinker resolves
     transparently)."""
-    from ..pipelines.kg import (SMALL_INDEX_OVERLAP_MAX_BYTES,
-                                _build_small_corpus_index,
-                                build_sharded_index_refs, estimate_index_bytes)
-    from ..stages.interpret import CorpusInterpretStage, put_region_table
+    from ..stages.interpret import put_region_table
     from .oracle import default_region_dict_path
 
     region_dict_path = region_dict_path or default_region_dict_path()
@@ -341,22 +295,10 @@ def links_explain(data_dir: str, mentions_dir: str, top_n: int = 2,
         req = min(req, int(n_cpus) - 2)
     concurrency = max(2, req)
     region_ref = put_region_table(region_dict_path)
-    if estimate_index_bytes(addresses_path) <= SMALL_INDEX_OVERLAP_MAX_BYTES:
-        np_index_ref = _build_small_corpus_index.remote(addresses_path, region_ref)
-    else:
-        corpus_ds = (
-            rd.read_parquet(addresses_path, columns=["addr_id", "text"])
-            .repartition(concurrency * 2)
-            .map_batches(CorpusInterpretStage, fn_constructor_args=(region_ref,),
-                         batch_format="pyarrow", batch_size=2048,
-                         concurrency=max(2, concurrency // 2))
-            .materialize()
-        )
-        np_index_ref = build_sharded_index_refs(corpus_ds)
+    np_index_ref = build_index_ref(addresses_path, region_ref, concurrency)
     return rd.read_parquet(
         mentions_dir,
-        columns=["conv_id", "turn_idx", "mention_idx", "district_key",
-                 "town", "village", "road", "road_num", "residual"],
+        columns=["conv_id", "turn_idx", "mention_idx", *QUERY_COLUMNS],
     ).map_batches(
         ExplainLinker, fn_constructor_args=(np_index_ref, top_n),
         batch_format="pyarrow", batch_size=1024, concurrency=concurrency,

@@ -15,19 +15,27 @@ Two modes, byte-identical triples:
                                  [K3 + D4]      -> triples/ Parquet
 
 ``run_kg_streaming`` (broadcast-index — when the corpus index fits in worker
-memory, the common case against a 10^12-turn transcript table): corpus
-interpreted distributed, IDF finalized driver-side (small side by
-definition), flattened to a zero-copy numpy index in plasma
-(kernel/npindex.py — ONE copy per node, not per actor); then ONE fused
+memory, the common case against a 10^12-turn transcript table): the corpus
+index is a zero-copy numpy index in plasma (kernel/npindex.py — ONE copy
+per node, not per actor) built by ``build_index_ref``; then ONE fused
 streaming job with no mid-pipeline disk:
     read_parquet(transcripts) -> map_batches(MentionLinkTriplesStage, actor pool)
                               -> groupby(route).map_groups(finalize_route_group)
                               -> triples/ Parquet
+An index estimated above ``BROADCAST_INDEX_MAX_BYTES`` falls back to the
+checkpointed mode.
+
+``build_index_ref`` is the one index-build router of every linking entry
+point (this mode, ``extras.regression_accuracy``, ``extras.links_explain``):
+up to ``SMALL_INDEX_OVERLAP_MAX_BYTES`` one overlapped single-task build,
+above it a distributed interpret + per-bucket sharded build
+(``build_sharded_index_refs``).
 
 Both modes turn link rows into triples through the same code
 (stages/fused.py): ``route_link_rows`` routes each mention to a conv bucket
 and each part_of edge to an edge bucket; ``finalize_route_group`` dedups and
-formats one bucket.
+formats one bucket. Every linker keys its queries with ``query_key``
+(kernel/mentions.py) and memoizes them in ``LinkMemo`` (stages/link.py).
 
 Shuffle keys: (district_key, term_key) for IDF, district_key for linking,
 conv_id for canonicalization — ONE partitioning key reused per concern.
@@ -393,6 +401,40 @@ def build_sharded_index_refs(corpus_ds) -> dict:
     }
 
 
+def build_index_ref(addresses_path: str, region_ref, concurrency: int,
+                    batch_size: int = 2048):
+    """The broadcast corpus index of every linking entry point (the
+    streaming KG mode, the regression and explain linkers), routed by the
+    index's estimated size; ``resolve_index`` (stages/fused.py) accepts
+    either shape. Per-bucket IDF equals the per-district IDF the kg_idf
+    oracle checks (districts never span buckets).
+
+    Small corpus: ONE Ray task builds the whole index and its ObjectRef is
+    returned at once, so the caller hands it to its actor pool while the
+    corpus interprets — the actors unpickle their trie and the transcript
+    read starts instead of paying corpus-build + ramp back to back (~5 s of
+    fixed latency at every cluster size). Big corpus: distributed interpret
+    -> per-bucket sharded build (``build_sharded_index_refs``); the corpus
+    never funnels through the driver."""
+    if estimate_index_bytes(addresses_path) <= SMALL_INDEX_OVERLAP_MAX_BYTES:
+        return _build_small_corpus_index.remote(addresses_path, region_ref)
+    corpus_conc = max(2, concurrency // 2)
+    corpus_ds = (
+        rd.read_parquet(addresses_path, columns=["addr_id", "text"],
+                        override_num_blocks=corpus_conc * 4)
+        .map_batches(
+            CorpusInterpretStage,
+            fn_constructor_args=(region_ref,),
+            batch_format="pyarrow",
+            batch_size=batch_size,
+            concurrency=corpus_conc,
+        )
+        .materialize()  # one execution; a bare to_arrow_refs schema-peeks
+        # the plan and runs the whole read+interpret a second time
+    )
+    return build_sharded_index_refs(corpus_ds)
+
+
 def run_kg_streaming(
     data_dir: str,
     out_dir: str,
@@ -419,13 +461,9 @@ def run_kg_streaming(
     region_ref = put_region_table(region_dict_path)
 
     # corpus index in plasma, zero-copy views in every actor — never
-    # replicated per process. Small corpus: ONE overlapped build task.
-    # Big corpus: distributed interpret + per-bucket sharded build (the
-    # corpus never passes through the driver). Oversized: checkpointed
-    # pipeline fallback. Per-bucket IDF equals the per-district IDF the
-    # kg_idf oracle checks (districts never span buckets).
-    est_bytes = estimate_index_bytes(addresses_path)
-    if est_bytes > BROADCAST_INDEX_MAX_BYTES:
+    # replicated per process (``build_index_ref``); an index too big to
+    # broadcast routes to the checkpointed pipeline instead
+    if estimate_index_bytes(addresses_path) > BROADCAST_INDEX_MAX_BYTES:
         # the index would not fit in worker memory as a broadcast — route to
         # the checkpointed/partitioned pipeline (bucket LRU over hive
         # partitions); it emits byte-identical triples
@@ -436,32 +474,7 @@ def run_kg_streaming(
         )
         result["mode"] = "checkpointed-fallback"
         return result
-    if est_bytes <= SMALL_INDEX_OVERLAP_MAX_BYTES:
-        # overlap the index build with the fused job's actor ramp: a single
-        # Ray task builds the whole index and its ObjectRef is handed to the
-        # actor pool IMMEDIATELY — 28 actors unpickle their trie and the
-        # transcript read starts while the corpus interprets, instead of
-        # paying corpus-build + ramp back to back (~5 s of fixed latency at
-        # every cluster size)
-        index_ref = _build_small_corpus_index.remote(addresses_path, region_ref)
-    else:
-        # big corpus: distributed interpret -> sharded per-bucket index
-        # build; the corpus never funnels through the driver
-        corpus_conc = max(2, concurrency // 2)
-        corpus_ds = (
-            rd.read_parquet(addresses_path, columns=["addr_id", "text"],
-                            override_num_blocks=corpus_conc * 4)
-            .map_batches(
-                CorpusInterpretStage,
-                fn_constructor_args=(region_ref,),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=corpus_conc,
-            )
-            .materialize()  # one execution; a bare to_arrow_refs schema-peeks
-            # the plan and runs the whole read+interpret a second time
-        )
-        index_ref = build_sharded_index_refs(corpus_ds)
+    index_ref = build_index_ref(addresses_path, region_ref, concurrency, batch_size)
 
     triples_ds = (
         rd.read_parquet(transcripts_path,

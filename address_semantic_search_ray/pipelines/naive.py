@@ -563,31 +563,9 @@ def write_regression(data_dir: str, out_dir: str, region_dict_path: str | None =
     _mark(out_dir, "regression", fp)
 
 
-# -- entry point -------------------------------------------------------------
+# -- correctness scale -------------------------------------------------------
 
 MAX_NAIVE_SF = 0.02  # the naive pass is O(corpus) Python: correctness scales only
-
-
-def ensure_naive_oracles(sf: float, sf_dir: str, data_dir: str) -> str | None:
-    """Write every naive-oracle parquet for this scale (cached). Returns the
-    oracle dir, or None when sf is above the correctness scale (bench runs
-    skip the naive pass entirely)."""
-    if sf > MAX_NAIVE_SF:
-        return None
-    out = oracle_dir(sf)
-    os.makedirs(out, exist_ok=True)
-    documents = os.path.join(sf_dir, "documents.parquet")
-    embeddings = os.path.join(sf_dir, "embeddings.parquet")
-    if os.path.exists(documents):
-        write_simhash_sigs(documents, out)
-        write_minhash_bands(documents, out)
-        write_fingerprints(documents, out)
-    if os.path.exists(embeddings):
-        write_lsh_topk(embeddings, out)
-    write_kg_oracle(data_dir, out)
-    write_town_mining(data_dir, out)
-    write_regression(data_dir, out)
-    return out
 
 
 def write_links_explain(data_dir: str, out_dir: str, top_n: int = 2,

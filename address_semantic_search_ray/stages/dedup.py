@@ -43,13 +43,6 @@ def _word_shingles(text: str, k: int = 3) -> set:
     return {" ".join(words[i:i + k]) for i in range(len(words) - k + 1)}
 
 
-def exact_dedup_first(group: pd.DataFrame) -> pd.DataFrame:
-    """Per content group keep the row with the smallest doc_id (D1 analog —
-    the reference skips re-imports by raw-text hash, AddressPersister.java:95-101,
-    but we key on the full string: no 32-bit collision bug)."""
-    return group.nsmallest(1, "doc_id")
-
-
 # -- MinHash ---------------------------------------------------------------
 
 _A = np.array([int.from_bytes(hashlib.blake2b(b"a%d" % i, digest_size=7).digest(), "big") | 1
@@ -120,18 +113,6 @@ def minhash_bands_batch(batch: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"band_id": rows_band, "band_hash": rows_hash, "doc_id": rows_doc})
 
 
-def band_candidate_pairs(group: pd.DataFrame) -> pd.DataFrame:
-    """One (band_id, band_hash) bucket -> candidate pairs (a<b)."""
-    ids = sorted(group["doc_id"].tolist())
-    a, b = [], []
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            a.append(ids[i])
-            b.append(ids[j])
-    return pd.DataFrame({"doc_id_a": np.asarray(a, dtype=np.int64),
-                         "doc_id_b": np.asarray(b, dtype=np.int64)})
-
-
 def band_bucket_candidate_pairs(group: pd.DataFrame) -> pd.DataFrame:
     """One COARSE band bucket (a ``cogroup`` bucket of (band_hash, band_id))
     holding many exact band keys -> candidate pairs (a<b) for every key
@@ -186,10 +167,6 @@ def simhash_batch(batch: pd.DataFrame) -> pd.DataFrame:
     for seg in range(4):
         out[f"seg{seg}"] = np.asarray([(s >> (16 * seg)) & 0xFFFF for s in sigs], dtype=np.int64)
     return pd.DataFrame(out)
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin((a ^ b) & 0xFFFFFFFFFFFFFFFF).count("1")
 
 
 def seg_melt_batch(batch: pd.DataFrame) -> pd.DataFrame:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..kernel.mentions import district_key, find_mentions
+from ..kernel.mentions import find_mentions, query_key
 from ..kernel.npindex import NpCorpusIndex, ShardedNpIndex
 from .interpret import _RegionStateMixin, _region_ids
 
@@ -134,11 +134,12 @@ class MentionLinkTriplesStage(_RegionStateMixin):
     write."""
 
     def __init__(self, region_ref, index_ref, top_n: int = 1):
+        from .link import top1_link_memo  # link.py imports this module
+
         self._init_interpreter(region_ref)
         self._init_prefilter()
         self.np_index = resolve_index(index_ref)
-        self.top_n = top_n
-        self._results: dict[tuple, tuple] = {}
+        self._link = top1_link_memo(self.np_index.find_similar, top_n)
         self._turn_results: dict[str, list] = {}
         self._freeze_state()
 
@@ -147,7 +148,7 @@ class MentionLinkTriplesStage(_RegionStateMixin):
         order) so routing consumes them without an Arrow round-trip."""
         batch = self._apply_prefilter(batch)
         it = self.interpreter
-        results = self._results
+        link = self._link
         # turn-level memo: web-scale transcript streams are heavy with EXACT
         # duplicate turns (boilerplate, re-shares, crawl dups — the reason
         # C4-style pipelines dedupe exact text first). One dict probe on the
@@ -157,8 +158,6 @@ class MentionLinkTriplesStage(_RegionStateMixin):
         # the win grows with duplicate-heavy address-dense streams. Output
         # is byte-identical either way (hash-checked A/B).
         turn_memo = self._turn_results
-        find = self.np_index.find_similar
-        top_n = self.top_n
         out = {name: [] for name in FUSED_SCHEMA.names}
         o_conv = out["conv_id"].append
         o_turn = out["turn_idx"].append
@@ -181,24 +180,10 @@ class MentionLinkTriplesStage(_RegionStateMixin):
             if rec is None:
                 rec = []
                 for mention_idx, m in enumerate(find_mentions(text, it)):
-                    a = m.addr
-                    key = district_key(a)
-                    least, chain = _region_ids(a)
-                    town = a.town.name if a.town is not None else ""
-                    village = a.village.name if a.village is not None else ""
-                    memo_key = (key, town, village, a.road, a.road_num, a.text)
-                    hit = results.get(memo_key)
-                    if hit is not None:
-                        linked, score = hit
-                    else:
-                        top = find(key, town, village, a.road, a.road_num,
-                                   a.text, top_n=top_n)
-                        linked, score = ((top[0][0], top[0][1]) if top
-                                         else (-1, 0.0))
-                        if len(results) > 500_000:
-                            results.clear()
-                        results[memo_key] = (linked, score)
-                    rec.append((mention_idx, key, least, linked, score, chain))
+                    query = query_key(m.addr)
+                    least, chain = _region_ids(m.addr)
+                    linked, score = link(query)
+                    rec.append((mention_idx, query[0], least, linked, score, chain))
                 if len(turn_memo) > 200_000:
                     turn_memo.clear()
                 turn_memo[text] = rec

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..kernel.interpreter import Interpreter
-from ..kernel.mentions import district_key, find_mentions
+from ..kernel.mentions import QUERY_COLUMNS, find_mentions, query_key
 from ..kernel.regions import RegionDict
 
 
@@ -164,6 +164,13 @@ def apply_import_caps(addr) -> None:
         addr.road_num = addr.road_num[:IMPORT_CAPS["road_num"]]
 
 
+def _query_columns(queries: list[tuple]) -> dict[str, pa.Array]:
+    """``query_key`` tuples -> one string column per ``QUERY_COLUMNS`` name."""
+    cols = zip(*queries) if queries else [()] * len(QUERY_COLUMNS)
+    return {name: pa.array(list(col), pa.string())
+            for name, col in zip(QUERY_COLUMNS, cols)}
+
+
 def _region_ids(addr):
     """(least_region_id, hierarchy chain ids root-ward, collapsed)."""
     chain = [addr.village, addr.town, addr.street, addr.district, addr.city, addr.province]
@@ -191,8 +198,7 @@ class CorpusInterpretStage(_RegionStateMixin):
         from ..kernel.npindex import district_bucket
 
         it = self.interpreter
-        out = {k: [] for k in ("addr_id", "district_key", "town", "village",
-                               "road", "road_num", "residual", "term_keys")}
+        addr_ids, queries, term_keys = [], [], []
         for addr_id, text in zip(batch.column("addr_id").to_pylist(),
                                  batch.column("text").to_pylist()):
             a = it.interpret(text)
@@ -200,27 +206,15 @@ class CorpusInterpretStage(_RegionStateMixin):
                 continue
             a.id = addr_id
             apply_import_caps(a)  # persist-boundary caps (S5)
-            doc = analyse(a)
-            out["addr_id"].append(addr_id)
-            out["district_key"].append(district_key(a))
-            out["town"].append(a.town.name if a.town is not None else "")
-            out["village"].append(a.village.name if a.village is not None else "")
-            out["road"].append(a.road)
-            out["road_num"].append(a.road_num)
-            out["residual"].append(a.text)
-            out["term_keys"].append([term_idf_key(t) for t in doc.terms])
+            addr_ids.append(addr_id)
+            queries.append(query_key(a))
+            term_keys.append([term_idf_key(t) for t in analyse(a).terms])
         self._maybe_gc()
-        buckets = [district_bucket(k) for k in out["district_key"]]
         return pa.table({
-            "bucket": pa.array(buckets, pa.int32()),
-            "addr_id": pa.array(out["addr_id"], pa.int64()),
-            "district_key": pa.array(out["district_key"], pa.string()),
-            "town": pa.array(out["town"], pa.string()),
-            "village": pa.array(out["village"], pa.string()),
-            "road": pa.array(out["road"], pa.string()),
-            "road_num": pa.array(out["road_num"], pa.string()),
-            "residual": pa.array(out["residual"], pa.string()),
-            "term_keys": pa.array(out["term_keys"], pa.list_(pa.string())),
+            "bucket": pa.array([district_bucket(q[0]) for q in queries], pa.int32()),
+            "addr_id": pa.array(addr_ids, pa.int64()),
+            **_query_columns(queries),
+            "term_keys": pa.array(term_keys, pa.list_(pa.string())),
         })
 
 
@@ -240,9 +234,9 @@ class MentionStage(_RegionStateMixin):
     def __call__(self, batch: pa.Table) -> pa.Table:
         batch = self._apply_prefilter(batch)
         it = self.interpreter
-        out = {k: [] for k in ("conv_id", "turn_idx", "mention_idx", "role", "district_key",
-                               "town", "village", "road", "road_num",
-                               "residual", "least_region_id", "region_chain")}
+        out = {k: [] for k in ("conv_id", "turn_idx", "mention_idx", "role",
+                               "least_region_id", "region_chain")}
+        queries = []
         for conv_id, turn_idx, role, text in zip(
             batch.column("conv_id").to_pylist(),
             batch.column("turn_idx").to_pylist(),
@@ -252,18 +246,12 @@ class MentionStage(_RegionStateMixin):
             if not text:
                 continue
             for mention_idx, m in enumerate(find_mentions(text, it)):
-                a = m.addr
-                least, chain = _region_ids(a)
+                least, chain = _region_ids(m.addr)
                 out["conv_id"].append(conv_id)
                 out["turn_idx"].append(turn_idx)
                 out["mention_idx"].append(mention_idx)
                 out["role"].append(role)
-                out["district_key"].append(district_key(a))
-                out["town"].append(a.town.name if a.town is not None else "")
-                out["village"].append(a.village.name if a.village is not None else "")
-                out["road"].append(a.road)
-                out["road_num"].append(a.road_num)
-                out["residual"].append(a.text)
+                queries.append(query_key(m.addr))
                 out["least_region_id"].append(least)
                 out["region_chain"].append(chain)
         self._maybe_gc()
@@ -272,12 +260,7 @@ class MentionStage(_RegionStateMixin):
             "turn_idx": pa.array(out["turn_idx"], pa.int32()),
             "mention_idx": pa.array(out["mention_idx"], pa.int32()),
             "role": pa.array(out["role"], pa.string()),
-            "district_key": pa.array(out["district_key"], pa.string()),
-            "town": pa.array(out["town"], pa.string()),
-            "village": pa.array(out["village"], pa.string()),
-            "road": pa.array(out["road"], pa.string()),
-            "road_num": pa.array(out["road_num"], pa.string()),
-            "residual": pa.array(out["residual"], pa.string()),
+            **_query_columns(queries),
             "least_region_id": pa.array(out["least_region_id"], pa.int64()),
             "region_chain": pa.array(out["region_chain"], pa.list_(pa.int64())),
         })

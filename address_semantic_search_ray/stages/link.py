@@ -16,6 +16,11 @@ Skew: a hot district spans many batches but loads its bucket once per actor;
 batch size bounds per-task memory regardless of key skew. This mirrors the
 reference's per-district ``.vt`` cache with ``cacheVectorsInMemory``
 (SimilarityComputer.java:83, 558-617) as a bounded per-actor cache.
+
+``LinkMemo`` is the one link memo of every linking entry point (this
+stage, the fused streaming stage, the regression and explain linkers):
+results keyed by ``query_key`` (kernel/mentions.py), bounded by
+``LINK_MEMO_MAX``.
 """
 
 from __future__ import annotations
@@ -27,9 +32,46 @@ from collections import OrderedDict
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..kernel.mentions import QUERY_COLUMNS
 from ..kernel.npindex import NpCorpusIndex, district_bucket
 from .fused import FUSED_SCHEMA
 from .interpret import _RegionStateMixin
+
+# entries a link memo holds before it starts over
+LINK_MEMO_MAX = 500_000
+
+
+class LinkMemo:
+    """``query_key`` -> ``rank(query)``, computed once per distinct query.
+
+    Link queries repeat heavily on conversational streams (the same
+    structured address in many turns, ~57% of keys on a dense stream) and a
+    result depends on the query alone, so every linker probes this memo
+    first. Bounded: at ``LINK_MEMO_MAX`` entries it is cleared, which only
+    costs recomputation — results never depend on the memo's contents."""
+
+    def __init__(self, rank):
+        self._rank = rank
+        self._memo: dict = {}
+
+    def __call__(self, query: tuple):
+        hit = self._memo.get(query)
+        if hit is None:
+            hit = self._rank(query)
+            if len(self._memo) >= LINK_MEMO_MAX:
+                self._memo.clear()
+            self._memo[query] = hit
+        return hit
+
+
+def top1_link_memo(find_similar, top_n: int = 1) -> LinkMemo:
+    """Memoized top-1 link: query -> (linked_addr, score); linked_addr -1
+    and score 0 when the query's district has no scoring document."""
+    def rank(query):
+        top = find_similar(*query, top_n=top_n)
+        return (top[0][0], top[0][1]) if top else (-1, 0.0)
+
+    return LinkMemo(rank)
 
 
 def _read_dir(root: str, bucket: int, columns=None) -> pa.Table | None:
@@ -56,6 +98,11 @@ def load_bucket_index(doc_dir: str, idf_dir: str, bucket: int) -> NpCorpusIndex 
     return NpCorpusIndex.from_tables(docs_tbl, idf_tbl)
 
 
+def query_rows(batch: pa.Table):
+    """The link queries of a batch of stored mention rows (``QUERY_COLUMNS``)."""
+    return zip(*(batch.column(c).to_pylist() for c in QUERY_COLUMNS))
+
+
 class LinkerActor(_RegionStateMixin):
     """Actor-pool scorer with an LRU of loaded buckets: mention rows -> link
     rows (``FUSED_SCHEMA``, the streaming stage's link-row schema, so both
@@ -66,12 +113,13 @@ class LinkerActor(_RegionStateMixin):
     def __init__(self, doc_dir: str, idf_dir: str, top_n: int = 1):
         self.doc_dir = doc_dir
         self.idf_dir = idf_dir
-        self.top_n = top_n
         self._cache: OrderedDict[int, NpCorpusIndex | None] = OrderedDict()
+        self._link = top1_link_memo(self._find_similar, top_n)
         self._freeze_state()
-        # result memo: repeated query shapes (same fields, same district) are
-        # common in conversational data; deterministic, bounded
-        self._results: dict[tuple, tuple] = {}
+
+    def _find_similar(self, key, *fields, top_n):
+        idx = self._bucket_index(district_bucket(key))
+        return idx.find_similar(key, *fields, top_n=top_n) if idx is not None else []
 
     def _bucket_index(self, bucket: int) -> dict:
         if bucket in self._cache:
@@ -86,27 +134,8 @@ class LinkerActor(_RegionStateMixin):
     def __call__(self, batch: pa.Table) -> pa.Table:
         self._maybe_gc()
         linked_out, score_out = [], []
-        for key, town, village, road, road_num, residual in zip(
-            batch.column("district_key").to_pylist(),
-            batch.column("town").to_pylist(),
-            batch.column("village").to_pylist(),
-            batch.column("road").to_pylist(),
-            batch.column("road_num").to_pylist(),
-            batch.column("residual").to_pylist(),
-        ):
-            memo_key = (key, town, village, road, road_num, residual)
-            hit = self._results.get(memo_key)
-            if hit is not None:
-                linked, score = hit
-            else:
-                idx = self._bucket_index(district_bucket(key))
-                top = idx.find_similar(key, town, village, road, road_num,
-                                       residual, top_n=self.top_n) \
-                    if idx is not None else []
-                linked, score = (top[0][0], top[0][1]) if top else (-1, 0.0)
-                if len(self._results) > 500_000:
-                    self._results.clear()
-                self._results[memo_key] = (linked, score)
+        for query in query_rows(batch):
+            linked, score = self._link(query)
             linked_out.append(linked)
             score_out.append(score)
         # every other link-row column passes through from the mention row

@@ -1,9 +1,13 @@
 """Benchmark harness: headline KG pipeline + per-operator timings.
 
 - ``python bench.py`` — run at $GRAFT_SF_DIR (default /root/testdata/sf0.1)
-  with ``ray.init(num_cpus=$RAY_GRAFT_CPUS or 32)``; prints ONE JSON line
-  ``{"metric": ..., "value": seconds, "unit": "sec", "queries": {...},
-  "sf": ..., "num_cpus": N, "turns_per_sec": ...}``.
+  with ``ray.init(num_cpus=$RAY_GRAFT_CPUS or 32)``; its last stdout line is
+  ONE compact JSON object (under 1 KB, so a log tail keeps it whole):
+  ``{"metric": ..., "value": seconds, "unit": "sec", "sf": ...,
+  "num_cpus": N, "turns_per_sec": ..., "queries_sum_sec": ...,
+  "scaling_efficiency": {"8_32": ..., ...}, "sidecar": path}``. The
+  per-query timings and the scaling samples go to the sidecar JSON file
+  (``bench_queries.json`` next to this script).
 - ``python bench.py --scaling`` — runs the headline pipeline twice in fresh
   processes (num_cpus=8 then 32) on the same pre-generated input and reports
   both throughputs + scaling efficiency (sandbox stand-in for N vs 4N nodes).
@@ -19,6 +23,7 @@ import sys
 import time
 
 REPO = os.path.dirname(os.path.abspath(__file__))
+SIDECAR = os.path.join(REPO, "bench_queries.json")
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
@@ -138,26 +143,37 @@ def run_bench() -> dict:
         "metric": "kg_pipeline_sec",
         "value": round(kg_sec, 3),
         "unit": "sec",
-        "queries": timings,
         "sf": sf,
         "num_cpus": NUM_CPUS,
         "n_turns": n_turns,
         "turns_per_sec": round(n_turns / kg_sec, 1),
     }
     ray.shutdown()
-    if not headline_only and os.environ.get("ASR_BENCH_SKIP_SCALING") != "1":
+    if headline_only:
+        return result
+    scaling = {}
+    if os.environ.get("ASR_BENCH_SKIP_SCALING") != "1":
         # the scaling measurement is part of the default bench output so the
         # per-round BENCH json always carries it
-        result["scaling"] = _scaling_pair(8, 32)
+        scaling["8_32"] = _scaling_pair(8, 32)
         # supplementary doubling BELOW the single-socket saturation point
         # (~16-20 workers, BASELINE.md): on a real N->4N-node cluster every
         # doubling adds memory buses with the cores, so this pair — not the
         # bus-saturated 16->32 one — is the regime a cluster doubling lives in
-        result["scaling_8_16"] = _scaling_pair(8, 16, runs=1)
+        scaling["8_16"] = _scaling_pair(8, 16, runs=1)
         # second sub-saturation doubling (round-4 verdict #6): 4->8 sits
         # even further below the ~16-20-worker bus knee, giving BASELINE.md
         # two clean doublings before saturation next to the primary pair
-        result["scaling_4_8"] = _scaling_pair(4, 8, runs=1)
+        scaling["4_8"] = _scaling_pair(4, 8, runs=1)
+    with open(SIDECAR, "w") as f:
+        json.dump({"queries": timings, "scaling": scaling}, f, indent=1)
+    result.update({
+        "checkpointed_base_scale_sec": timings["kg_pipeline_checkpointed_base_scale"],
+        "queries_n": len(BENCH_QUERIES),
+        "queries_sum_sec": round(sum(timings[n] for n in BENCH_QUERIES), 3),
+        "scaling_efficiency": {k: v["scaling_efficiency"] for k, v in scaling.items()},
+        "sidecar": SIDECAR,
+    })
     return result
 
 

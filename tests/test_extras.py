@@ -223,27 +223,28 @@ def test_simhash_pair_blocks_match_unblocked():
         assert [(int(a), int(b), int(h)) for a, b, h in got_rows] == naive(g, 3)
 
 
-def test_links_explain_matches_naive(ray_session, tmp_path):
+@pytest.fixture(scope="module")
+def kg_work(ray_session, tiny_data, tmp_path_factory):
+    from address_semantic_search_ray.pipelines.kg import run_kg_pipeline
+
+    return run_kg_pipeline(tiny_data, str(tmp_path_factory.mktemp("kgwork")),
+                           concurrency=2)
+
+
+def test_links_explain_matches_naive(ray_session, tiny_data, kg_work, tmp_path):
     """Distributed explain-mode linking == the single-process twin, row for
     row (order-insensitive), at sf0.001."""
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from address_semantic_search_ray.data.synth import ensure_dataset
     from address_semantic_search_ray.pipelines import naive
     from address_semantic_search_ray.pipelines.extras import links_explain
-    from address_semantic_search_ray.pipelines.kg import run_kg_pipeline
 
-    data_dir = ensure_dataset(0.001)
-    work = str(tmp_path / "work")
-    res = run_kg_pipeline(data_dir, work, concurrency=2)
-    got = links_explain(data_dir, res["mentions"], concurrency=2).to_pandas()
+    got = links_explain(tiny_data, kg_work["mentions"], concurrency=2).to_pandas()
 
     out_dir = str(tmp_path / "oracle")
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    naive.write_links_explain(data_dir, out_dir)
+    naive.write_links_explain(tiny_data, out_dir)
     exp = pq.read_table(os.path.join(out_dir, "kg_links_explain.parquet")).to_pandas()
 
     assert len(got) == len(exp) > 0
@@ -251,6 +252,36 @@ def test_links_explain_matches_naive(ray_session, tmp_path):
     g = got.sort_values(key, kind="stable").reset_index(drop=True)
     e = exp[key].sort_values(key, kind="stable").reset_index(drop=True)
     pd.testing.assert_frame_equal(g, e, check_dtype=False)
+
+
+def test_side_pipelines_sharded_index_matches(ray_session, tiny_data, kg_work,
+                                              monkeypatch):
+    """The regression and explain linkers build their index through the KG
+    pipeline's router: forcing its sharded side (distributed interpret +
+    per-bucket build) gives the same output as the default single-task
+    build."""
+    import pandas as pd
+
+    from address_semantic_search_ray.pipelines import kg
+    from address_semantic_search_ray.pipelines.extras import (
+        links_explain, regression_accuracy)
+
+    def run():
+        reg = regression_accuracy(tiny_data, concurrency=2)
+        exp = links_explain(tiny_data, kg_work["mentions"], concurrency=2).to_pandas()
+        return reg, exp.sort_values(list(exp.columns), kind="stable").reset_index(drop=True)
+
+    reg, exp = run()
+    sharded_builds = []
+    build = kg.build_sharded_index_refs
+    monkeypatch.setattr(kg, "build_sharded_index_refs",
+                        lambda ds: sharded_builds.append(1) or build(ds))
+    monkeypatch.setattr(kg, "SMALL_INDEX_OVERLAP_MAX_BYTES", 0)
+    reg_sharded, exp_sharded = run()
+    assert len(sharded_builds) == 2
+    assert len(exp) > 0 and int(reg.iloc[0].sum()) > 0
+    pd.testing.assert_frame_equal(reg_sharded, reg)
+    pd.testing.assert_frame_equal(exp_sharded, exp)
 
 
 def test_kg_entity_cooccurrence_matches_pandas_join(ray_session):

@@ -182,6 +182,58 @@ def test_triples_invariant_under_bucket_counts(tiny_data, monkeypatch):
     assert run_set == _triple_set(run_oracle(tiny_data))
 
 
+def test_links_invariant_under_memo_cap(tiny_data, pipeline_result, monkeypatch):
+    """Every linker's memo only saves recomputation: with the link-memo cap
+    at 1 (cleared on nearly every miss) the fused stage routes the same rows
+    as at the default cap, and ``LinkerActor`` links the ``mentions/``
+    checkpoint to the same rows as the ``links/`` checkpoint. In-process,
+    so the patched cap reaches the stages."""
+    import gc
+
+    import pyarrow as pa
+
+    from address_semantic_search_ray.pipelines import kg
+    from address_semantic_search_ray.stages import fused, link
+    from address_semantic_search_ray.stages.interpret import region_state_bytes
+
+    region = region_state_bytes(kg.default_region_dict_path())
+    payload = kg._build_small_corpus_index_impl(
+        tiny_data + "/addresses.parquet", region)
+    transcripts = pq.read_table(tiny_data + "/transcripts.parquet",
+                                columns=["conv_id", "turn_idx", "role", "text"])
+    mentions = pq.read_table(pipeline_result["mentions"])
+
+    def rows(table):
+        cols = [table.column(n).to_pylist() for n in table.column_names]
+        return sorted(tuple(tuple(v) if isinstance(v, list) else v for v in r)
+                      for r in zip(*cols))
+
+    def routed_and_linked():
+        stage = fused.MentionLinkTriplesStage(region, payload, 1)
+        routed = pa.concat_tables(
+            [stage(pa.Table.from_batches([b]))
+             for b in transcripts.to_batches(max_chunksize=256)])
+        linker = link.LinkerActor(pipeline_result["doc_vectors"],
+                                  pipeline_result["idf"], 1)
+        linked = pa.concat_tables(
+            [linker(pa.Table.from_batches([b]))
+             for b in mentions.to_batches(max_chunksize=128)])
+        memo_sizes = [len(stage._link._memo), len(linker._link._memo)]
+        return rows(routed), rows(linked), memo_sizes
+
+    try:
+        routed, linked, sizes = routed_and_linked()
+        assert min(sizes) > 1  # the default-cap memos held many queries
+        monkeypatch.setattr(link, "LINK_MEMO_MAX", 1)
+        routed_1, linked_1, sizes_1 = routed_and_linked()
+    finally:
+        gc.unfreeze()  # the stages froze and disabled this process's gc
+        gc.enable()
+    assert max(sizes_1) <= 1
+    assert routed_1 == routed
+    assert linked_1 == linked == rows(pq.read_table(pipeline_result["links"]))
+
+
 def test_streaming_mode_matches_checkpointed(ray_session, tiny_data, tmp_path_factory, pipeline_result):
     """Broadcast-index streaming mode must emit byte-identical triples."""
     from address_semantic_search_ray.pipelines.kg import run_kg_streaming

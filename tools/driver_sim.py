@@ -3,12 +3,17 @@
 Runs every ``queries()`` entry at the given sf, converts to pandas, runs the
 matching ``oracle_sql()`` in DuckDB with the test tables registered as views,
 and compares row-count + schema + order-insensitive values (like the driver).
+The oracle SQL reads the sf0.01 artifact dirs pinned in ``__ray_entry__``
+(``SF001_*``); the simulator points it at the given sf's own dirs, so every
+scale is checked against its own naive twins and KG checkpoints.
 
 Usage: python tools/driver_sim.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
+import os
+import re
 import sys
 import time
 
@@ -27,6 +32,23 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
         if pd.api.types.is_integer_dtype(df[c]):
             df[c] = df[c].astype("int64")
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
+
+
+def oracle_sql_at(entry_mod, sf_dir: str) -> dict[str, str]:
+    """``oracle_sql()`` with its pinned sf0.01 dirs moved to ``sf_dir``'s scale."""
+    from address_semantic_search_ray.data.synth import dataset_dir
+    from address_semantic_search_ray.pipelines import naive, queries
+
+    sf = queries._sf_of(sf_dir)
+    moves = {
+        entry_mod.SF001_ORACLE: naive.oracle_dir(sf),
+        entry_mod.SF001_WORK: os.path.join(queries.WORK_ROOT, f"sf{sf:g}"),
+        entry_mod.SF001_SYNTH: dataset_dir(sf, queries.SYNTH_ROOT),
+    }
+    # one pass, longest path first: the oracle dir lies inside the work dir
+    pinned = re.compile("|".join(map(re.escape, sorted(moves, key=len, reverse=True))))
+    return {name: pinned.sub(lambda m: moves[m.group(0)], sql)
+            for name, sql in entry_mod.oracle_sql().items()}
 
 
 def to_pandas(res) -> pd.DataFrame:
@@ -59,7 +81,7 @@ def main():
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
     qs = entry_mod.queries()
-    oracles = entry_mod.oracle_sql()
+    oracles = oracle_sql_at(entry_mod, sf_dir)
     n_pass = n_fail = 0
     for name, fn in qs.items():
         if only and name not in only:
