@@ -35,7 +35,7 @@ class TownMineStage(_RegionStateMixin):
         self._init_interpreter(region_ref)
         self._freeze_state()
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def process(self, batch: pa.Table) -> pa.Table:
         it = self.interpreter
         dist_out, town_out = [], []
         for text in batch.column("text").to_pylist():
@@ -95,7 +95,7 @@ class RegressionLinkStage(_RegionStateMixin):
         self.grid_by_addr = ray.get(grid_ref)
         self._freeze_state()
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def process(self, batch: pa.Table) -> pa.Table:
         it = self.interpreter
         orders, grids, linked_grids, sims = [], [], [], []
         for order_no, text, grid in zip(
@@ -240,8 +240,7 @@ class ExplainLinker(_RegionStateMixin):
                  idx.explain_matched(key, int(i), *query[1:]))
                 for i in sel]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        self._maybe_gc()
+    def process(self, batch: pa.Table) -> pa.Table:
         out = {name: [] for name in EXPLAIN_SCHEMA.names}
         for conv_id, turn_idx, mention_idx, query in zip(
             batch.column("conv_id").to_pylist(),

@@ -49,7 +49,6 @@ Must NOT call ray.init(): the driver/bench owns the session.
 from __future__ import annotations
 
 import os
-import sys
 
 import ray
 import ray.data as rd
@@ -63,20 +62,6 @@ from ..stages.interpret import CorpusInterpretStage, MentionStage, put_region_ta
 from ..stages.link import LinkerActor
 from ..state.checkpoint import StageRunner, code_salt, fingerprint_paths
 from .oracle import default_region_dict_path
-
-
-def _code_version() -> str:
-    """Code-version salt of every module the checkpointed stages run."""
-    from ..kernel import (
-        division, document, interpreter, mentions, npindex, regions, roadnum,
-        segment, similarity, stringutil, trie, types, visitor,
-    )
-    from ..stages import fused, idf, interpret, link
-
-    return code_salt(division, document, interpreter, mentions, npindex,
-                     regions, roadnum, segment, similarity, stringutil, trie,
-                     types, visitor, fused, idf, interpret, link,
-                     sys.modules[__name__])
 
 
 def run_kg_pipeline(
@@ -104,7 +89,7 @@ def run_kg_pipeline(
             region_ref = put_region_table(region_dict_path)
         return region_ref
 
-    params = {"top_n": top_n, "code": _code_version()}
+    params = {"top_n": top_n, "code": code_salt()}
 
     # -- stage 1: corpus doc vectors ---------------------------------------
     fp_corpus = fingerprint_paths(addresses_path, region_dict_path, extra=params)
@@ -242,8 +227,8 @@ def estimate_index_bytes(addresses_path: str) -> int:
 
 def _index_cache_path(addresses_path: str, region_digest: str) -> str | None:
     """Disk-cache location for a built corpus-index payload, keyed by the
-    address file stats + the kernel code version (same recipe as the trie
-    cache in ``stages/interpret.py``). The reference persists its
+    address file stats + the package's ``code_salt`` (same recipe as the
+    trie cache in ``stages/interpret.py``). The reference persists its
     interpreted doc vectors exactly this way — per-district `.vt` files
     written once and loaded by the query path
     (``SimilarityComputer.java:631-688`` cache folder) — so a steady-state
@@ -255,16 +240,6 @@ def _index_cache_path(addresses_path: str, region_digest: str) -> str | None:
     import hashlib
     import tempfile
 
-    from ..kernel import document as _kd
-    from ..kernel import interpreter as _ki
-    from ..kernel import npindex as _kn
-    from ..kernel import regions as _kr
-    from ..kernel import segment as _ks
-    from ..kernel import similarity as _ksim
-    from ..kernel import trie as _kt
-    from ..kernel import visitor as _kv
-    from ..stages import idf as _sidf
-
     files = sorted(glob.glob(os.path.join(addresses_path, "*.parquet"))) \
         if os.path.isdir(addresses_path) else [addresses_path]
     if not files:
@@ -273,7 +248,7 @@ def _index_cache_path(addresses_path: str, region_digest: str) -> str | None:
     for f in files:
         st = os.stat(f)
         parts.append(f"{os.path.abspath(f)}:{st.st_size}:{st.st_mtime_ns}")
-    parts.append(code_salt(_kt, _kr, _kv, _ki, _ks, _kd, _ksim, _kn, _sidf))
+    parts.append(code_salt())
     # the index payload depends on the REGION DICT too (interpretation runs
     # through the region trie): a different dict over the same addresses
     # must never hit a stale cache entry (ADVICE r4)

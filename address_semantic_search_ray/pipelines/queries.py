@@ -632,153 +632,47 @@ def dedup_exact(sf_dir: str):
 
 def _lang_word_tokens(composite: str) -> set:
     """Lang-qualified word-token set of a "lang\\x00text" composite: the
-    PPJoin posting keys for the word-set route. Qualifying every token with
-    its lang makes cross-lang candidate pairs impossible (no shared token)
-    while |set| equals the plain word-set size, so the prefix bound matches
-    ``_wordset_sim``'s Jaccard exactly."""
+    word-set join's tokens. Qualifying every word with its lang leaves
+    cross-lang pairs no shared token (Jaccard 0) while |set| equals the
+    plain word-set size, so within a lang the Jaccard is the plain one."""
     lang, _, text = composite.partition("\x00")
     pre = lang + "\x00"
     return {pre + w for w in text.split(" ")}
 
 
 def _wordset_sim(a: str, b: str) -> float:
-    """Word-set Jaccard over "lang\\x00text" composites; 0.0 across langs
-    (defensive — lang-qualified postings never produce cross-lang pairs)."""
-    la, _, ta = a.partition("\x00")
-    lb, _, tb = b.partition("\x00")
-    if la != lb:
-        return 0.0
-    sa, sb = set(ta.split(" ")), set(tb.split(" "))
+    """Jaccard of two composites' ``_lang_word_tokens`` sets; never empty
+    (``''.split(' ') == ['']``), so the union is >= 1."""
+    sa, sb = _lang_word_tokens(a), _lang_word_tokens(b)
     inter = len(sa & sb)
-    union = len(sa) + len(sb) - inter
-    return inter / union if union else 0.0
+    return inter / (len(sa) + len(sb) - inter)
 
 
-def _build_wordset_incidence(path: str):
-    """Ray task: doc x word-vocab float32 incidence + ids + langs + set
-    sizes + doc_id->row map over the documents table, broadcast via
-    ObjectRef (plasma zero-copy; the dense-plan small side)."""
-    import pyarrow.parquet as pq
+def _wordset_docs(sf_dir: str):
+    """The documents as ``docs(doc_id, text)`` with "lang\\x00text"
+    composite texts: the word-set join's input."""
+    def compose(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "doc_id": t.column("doc_id"),
+            "text": pc.binary_join_element_wise(
+                t.column("lang"), t.column("text"), "\x00")})
 
-    t = pq.read_table(path, columns=["doc_id", "lang", "text"])
-    ids = np.asarray(t.column("doc_id").to_pylist(), dtype=np.int64)
-    langs = np.asarray(t.column("lang").to_pylist())
-    word_sets = [set(x.split(" ")) for x in t.column("text").to_pylist()]
-    vocab = {w: i for i, w in enumerate(sorted(set().union(*word_sets)))} \
-        if word_sets else {}
-    m = np.zeros((len(ids), len(vocab)), dtype=np.float32)
-    sizes = np.zeros(len(ids), dtype=np.int64)
-    for r, ws in enumerate(word_sets):
-        sizes[r] = len(ws)
-        m[r, [vocab[w] for w in ws]] = 1.0
-    return ids, langs, m, sizes, {int(i): r for r, i in enumerate(ids)}
-
-
-_build_wordset_incidence_task = ray.remote(_build_wordset_incidence)
+    return _read(sf_dir, "documents", ["doc_id", "lang", "text"]) \
+        .map_batches(compose, batch_format="pyarrow")
 
 
 def dedup_wordset_jaccard(sf_dir: str, threshold: float = 0.9):
-    """EXACT within-lang word-set Jaccard join (round-4 rewrite of the
-    all-pairs-per-lang-group fixture): the corpus side is one broadcast
-    doc x word-vocab incidence (the ``_ngram_jaccard_dense`` shape — f32
-    intersection counts are exact, bounded by the matrix fitting the object
-    store, which a bounded-vocab corpus guarantees), the query side STREAMS
-    — one BLAS matmul per batch with vectorized lang/order/threshold masks;
-    no ``lang`` group (~5 values = the classic hot key) ever materializes
-    in one task. A df-skewed unbounded vocabulary (matrix-bytes budget
-    exceeded) routes through token-level prefix filtering instead — the
-    exact PPJoin machinery ``dedup_ngram_jaccard`` runs over char shingles,
-    here over LANG-QUALIFIED word tokens (posting key = lang + NUL + word,
-    so candidates are within-lang by construction) sharing the same heavy-
-    head broadcast, bucketed candidate generation and distributed verify
-    (round-4 verdict #1: the per-lang grouped-quadratic branch is gone).
-    ``ASR_WORDSET_PLAN=dense|postings`` forces a route (tests); both are
-    exact, so they emit identical pair tables."""
-    import pyarrow.parquet as pq
-
-    path = _t(sf_dir, "documents")
-    n_docs = pq.ParquetFile(path).metadata.num_rows
-    # EXACT vocabulary count via one tiny distributed pass (per-batch
-    # distinct words -> word-keyed co-group distinct -> disjoint partial
-    # counts). A bytes-based heuristic grows with CORPUS size, not
-    # vocabulary, and would route bounded-vocab corpora to the quadratic
-    # fallback at exactly the scale the dense plan exists for.
-    def batch_words(df: pd.DataFrame) -> pa.Table:
-        words = sorted(set().union(
-            *(set(x.split(" ")) for x in df["text"]))) if len(df) else []
-        return pa.table({"w": pa.array(words, pa.string())})
-
-    def bucket_count(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"n": np.asarray([g["w"].nunique()], dtype=np.int64)})
-
-    vocab = int(sum(
-        b["n"].sum() for b in
-        cogroup(_read(sf_dir, "documents", ["text"])
-                .map_batches(batch_words, batch_format="pandas"),
-                "w", bucket_count)
-        .iter_batches(batch_size=None, batch_format="pandas")))
-    plan = os.environ.get("ASR_WORDSET_PLAN", "auto")
-    oversized = n_docs * max(1, vocab) * 4 > 8_000_000_000
-    if plan == "postings" or (plan == "auto" and oversized):
-        # lang-qualified composite text: "lang\x00text" — ONE string column
-        # through the shared PPJoin tail; the tokenizer re-splits it
-        def compose(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "doc_id": t.column("doc_id"),
-                "text": pc.binary_join_element_wise(
-                    t.column("lang"), t.column("text"), "\x00")})
-
-        cdocs = _read(sf_dir, "documents", ["doc_id", "lang", "text"]) \
-            .map_batches(compose, batch_format="pyarrow")
-        df_agg = _token_df_agg(cdocs, tokens_of=_lang_word_tokens)
-        return _prefix_filter_pairs(cdocs, df_agg, n_docs, _wordset_sim,
-                                    threshold, tokens_of=_lang_word_tokens)
-
-    ref = _build_wordset_incidence_task.remote(path)
-
-    class WordsetScan:
-        # callable class (the _ngram_jaccard_dense shape): ray.get + the
-        # O(n_docs) row_of dict deserialize happen ONCE per actor in
-        # __init__, not once per 1024-row batch
-        def __init__(self):
-            (self.ids, self.langs, self.m, self.sizes,
-             self.row_of) = ray.get(ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            ids, langs, m, sizes = self.ids, self.langs, self.m, self.sizes
-            if not len(df) or not m.size:
-                return pd.DataFrame({
-                    "doc_id_a": np.asarray([], dtype=np.int64),
-                    "doc_id_b": np.asarray([], dtype=np.int64),
-                    "jac": np.asarray([], dtype=np.float64)})
-            rows = np.fromiter((self.row_of[int(i)] for i in df["doc_id"]),
-                               dtype=np.int64, count=len(df))
-            # f32 counts are exact (<= |vocab| << 2^24); ONE cast to f64,
-            # and union >= 1 always (''.split(' ') == [''] -> set size 1),
-            # so no zero-guard pass is needed
-            inter = (m[rows] @ m.T).astype(np.float64)
-            union = (sizes[rows][:, None]
-                     + sizes[None, :]).astype(np.float64) - inter
-            jac = inter / union
-            keep = ((jac >= threshold)
-                    & (langs[None, :] == langs[rows][:, None])
-                    & (ids[None, :] > ids[rows][:, None]))
-            bi, bj = np.nonzero(keep)
-            return pd.DataFrame({
-                "doc_id_a": ids[rows[bi]],
-                "doc_id_b": ids[bj],
-                "jac": np.round(jac[bi, bj], 6),
-            })
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    return _read(sf_dir, "documents", ["doc_id"]) \
-        .map_batches(WordsetScan, batch_format="pandas",
-                     concurrency=max(2, min(8, n_cpus - 2)))
+    """EXACT within-lang word-set Jaccard pairs: ``set_similarity_join``
+    over ``_wordset_docs`` tokenized by ``_lang_word_tokens``, so cross-lang
+    pairs share no token and score 0 on either plan — no ``lang`` group
+    (~5 values, the classic hot key) ever materializes in one task."""
+    return set_similarity_join(_wordset_docs(sf_dir), _lang_word_tokens,
+                               _wordset_sim, threshold)
 
 
 def dedup_ngram_jaccard(sf_dir: str, threshold: float = 0.5):
-    """Near-dup pair table (see ``_ngram_pairs_compute`` for the plans).
+    """Char-5-gram near-dup pairs: ``set_similarity_join`` over
+    ``_char_shingles``.
 
     The pair table is a deterministic intermediate shared by every
     downstream dedup consumer (``dedup_clusters`` propagates components over
@@ -787,47 +681,46 @@ def dedup_ngram_jaccard(sf_dir: str, threshold: float = 0.5):
     session memo holds the tiny materialized pair Dataset (bounded by the
     near-dup count) keyed by the corpus file identity + threshold, so one
     bench/driver session pays the join once, not once per consumer."""
+    from ..stages.dedup import _char_shingles, ngram_jaccard
+
     p = _t(sf_dir, "documents")
     st = os.stat(p)
     return _session_memo(
         ("ngram_pairs", os.path.abspath(p), st.st_size, st.st_mtime_ns,
          threshold),
-        lambda: _ngram_pairs_compute(sf_dir, threshold).materialize())
+        lambda: set_similarity_join(
+            _read(sf_dir, "documents", ["doc_id", "text"]), _char_shingles,
+            ngram_jaccard, threshold).materialize())
 
 
-def _ngram_pairs_compute(sf_dir: str, threshold: float = 0.5):
-    """Char-5-gram Jaccard similarity join — EXACT result of the all-pairs
-    oracle SQL, computed by one of two exact plans picked from the global
-    shingle-df statistics (one tiny aggregate either way):
+# the dense plan's incidence matrix must fit the object store
+DENSE_MATRIX_MAX_BYTES = 2_000_000_000
 
-    - **prefix filter** (SSJoin/PPJoin; real-corpus scale path): with a
-      df-skewed vocabulary each doc ships only its rarest
-      ``|G| - floor(t|G|) + 1`` shingles as postings; docs with Jaccard >= t
-      provably share a prefix shingle, so candidates form per posting list
+
+def set_similarity_join(docs, tokens_of, sim_fn, threshold: float):
+    """EXACT set-similarity join: every pair (doc_id_a < doc_id_b, jac) of
+    ``docs(doc_id, text)`` whose Jaccard over ``tokens_of(text)`` sets is
+    >= ``threshold`` (> 0). ``sim_fn(text_a, text_b)`` must compute that
+    same Jaccard: it is the prefix plan's verify kernel.
+
+    One ``_token_df_agg`` pass feeds both the plan statistics and the
+    prefix filter. The plan follows the token df shape:
+
+    - **dense scan** (``_dense_pairs``) when the median token appears in
+      >1% of the docs and the doc x token matrix fits
+      ``DENSE_MATRIX_MAX_BYTES``: then NO exact filter can prune — every
+      pair is a candidate — so pruning machinery only adds overhead;
+    - **prefix filter** (``_prefix_filter_pairs``; SSJoin/PPJoin, the
+      real-corpus scale path) otherwise: each doc ships only its rarest
+      ``|G| - floor(t|G|) + 1`` tokens as postings; docs with Jaccard >= t
+      provably share a prefix token, so candidates form per posting list
       and the shared distributed verify scores each once. Shuffle units are
-      fixed-width posting rows — never documents, never the n^2 pairs.
-    - **dense block scan** (filter-hostile corpora): when the vocabulary is
-      so small that the median shingle appears in >1% of docs (this
-      synthetic corpus: ~6%), NO exact filter can prune — every pair is a
-      candidate — so pruning machinery only adds overhead. Instead a Ray
-      task builds the doc x shingle incidence matrix once (plasma-shared,
-      like the np corpus index), and each streamed block computes its
-      intersection counts against it with one float32 BLAS matmul (counts
-      <= |G| << 2^24, so f32 accumulation is exact). Bounded by the matrix
-      fitting the object store — which a bounded-vocab corpus does by
-      construction."""
-    from ..stages.dedup import ngram_jaccard
+      fixed-width posting rows — never documents, never the n^2 pairs."""
+    df_agg = _token_df_agg(docs, tokens_of)
+    n_docs = docs.count()
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    # global shingle document frequency: pre-aggregated per batch (partial
-    # Counters inside map_batches), then ONE distributed groupby(shingle).sum
-    # — the full vocabulary never lands on the driver (a real crawl corpus
-    # has billions of distinct 5-grams). Plan statistics (vocab size, median
-    # df) fold from a tiny (df -> count) histogram of that aggregate, and
-    # only the bounded HEAVY head is broadcast for the prefix order.
-    df_agg = _token_df_agg(docs)
-
+    # plan statistics from a (df -> count) histogram of the aggregate: the
+    # full vocabulary never lands on the driver
     def df_hist(h: pd.DataFrame) -> pd.DataFrame:
         out = h.groupby("df", as_index=False).agg(cnt=("df", "size"))
         out["cnt"] = out["cnt"].astype(np.int64)
@@ -835,41 +728,25 @@ def _ngram_pairs_compute(sf_dir: str, threshold: float = 0.5):
 
     hist = (df_agg.map_batches(df_hist, batch_format="pandas")
             .groupby("df").aggregate(Sum("cnt", alias_name="cnt"))).to_pandas()
-    if "df" not in hist.columns:  # degenerate corpus: zero shingles anywhere
-        hist = pd.DataFrame({"df": [], "cnt": []})
-    hist = hist.sort_values("df").reset_index(drop=True)
-    vocab = int(hist["cnt"].sum()) if len(hist) else 0
-
-    import pyarrow.parquet as pq
-
-    n_docs = pq.ParquetFile(_t(sf_dir, "documents")).metadata.num_rows
+    median_df = 0.0
+    vocab = int(hist["cnt"].sum()) if "df" in hist.columns else 0
     if vocab:
-        # exact np.median of the df multiset, from the histogram
-        cum = hist["cnt"].to_numpy().cumsum()
+        # exact np.median of the df multiset: the middle one or two values
+        hist = hist.sort_values("df")
         vals = hist["df"].to_numpy(dtype=np.float64)
-        if vocab % 2:
-            median_df = float(vals[np.searchsorted(cum, vocab // 2 + 1)])
-        else:
-            median_df = (float(vals[np.searchsorted(cum, vocab // 2)])
-                         + float(vals[np.searchsorted(cum, vocab // 2 + 1)])) / 2.0
-    else:
-        median_df = 0.0
-    matrix_bytes = n_docs * vocab * 4
-    if median_df > 0.01 * n_docs and matrix_bytes <= 2_000_000_000:
-        # dense plan needs the full vocabulary list — bounded by the same
-        # matrix-bytes budget that gates this branch
-        shingles = sorted(
-            s for b in df_agg.iter_batches(batch_size=None,
-                                           batch_format="pyarrow")
-            for s in b.column("shingle").to_pylist())
-        return _ngram_jaccard_dense(sf_dir, docs, shingles, threshold)
-
-    return _prefix_filter_pairs(docs, df_agg, n_docs, ngram_jaccard, threshold)
+        lo, hi = np.searchsorted(hist["cnt"].to_numpy().cumsum(),
+                                 [(vocab + 1) // 2, vocab // 2 + 1])
+        median_df = (vals[lo] + vals[hi]) / 2.0
+    if (median_df > 0.01 * n_docs
+            and n_docs * vocab * 4 <= DENSE_MATRIX_MAX_BYTES):
+        return _dense_pairs(docs, tokens_of, threshold)
+    return _prefix_filter_pairs(docs, df_agg, n_docs, sim_fn, threshold,
+                                tokens_of)
 
 
-def _token_df_agg(docs, tokens_of=None):
+def _token_df_agg(docs, tokens_of):
     """Distributed token document-frequency aggregate over ``docs(doc_id,
-    text)``: per-batch partial Counters -> shingle-keyed co-group sum
+    text)``: per-batch partial Counters -> token-keyed co-group sum
     (Ray's sort-shuffle over ~1M distinct STRING keys dominated the whole
     query — 18.4 s vs 6.9 s at sf0.1; int buckets + a pandas sum inside
     move the same rows but sort 8-byte ints). Materialized (shingle, df)
@@ -889,12 +766,11 @@ def _token_df_agg(docs, tokens_of=None):
 
 
 def _prefix_filter_pairs(docs, df_agg, n_docs: int, sim_fn, threshold: float,
-                         tokens_of=None):
-    """Shared PPJoin tail (char-shingle and word-token routes): heavy-head
-    broadcast -> prefix postings -> bucketed candidate pairs -> exact
-    distributed verify.
+                         tokens_of):
+    """The PPJoin plan: heavy-head broadcast -> prefix postings ->
+    bucketed candidate pairs -> exact distributed verify.
 
-    Heavy-head broadcast: only tokens with df > cap ship to the actors — by
+    Heavy-head broadcast: only tokens with df > cap ship to the tasks — by
     pigeonhole <= total_postings/cap entries, a bound independent of
     vocabulary size; absent tokens get order key (cap, token), below every
     heavy one, so hot tokens sort LAST and no prefix posting list exceeds
@@ -921,73 +797,53 @@ def _prefix_filter_pairs(docs, df_agg, n_docs: int, sim_fn, threshold: float,
     return _verify_candidate_pairs(docs, cands, sim_fn, threshold)
 
 
-def _build_ngram_incidence(path: str, shingles: list):
-    """Ray task: doc x shingle float32 incidence matrix + doc ids + set
-    sizes + doc_id->row map, built off-driver and broadcast via ObjectRef."""
-    import pyarrow.parquet as pq
-
-    from ..stages.dedup import _char_shingles
-
-    tbl = pq.read_table(path, columns=["doc_id", "text"])
-    ids = np.asarray(tbl.column("doc_id").to_pylist(), dtype=np.int64)
-    sid = {s: i for i, s in enumerate(shingles)}
-    m = np.zeros((len(ids), len(sid)), dtype=np.float32)
-    sizes = np.zeros(len(ids), dtype=np.int64)
-    rows_out, cols_out = [], []
-    for r, text in enumerate(tbl.column("text").to_pylist()):
-        g = _char_shingles(text)
-        sizes[r] = len(g)
-        rows_out.append(np.full(len(g), r, dtype=np.int64))
-        cols_out.append(np.fromiter((sid[s] for s in g), dtype=np.int64,
-                                    count=len(g)))
-    if rows_out:
-        # one vectorized scatter instead of a per-(doc, shingle) store loop
-        m[np.concatenate(rows_out), np.concatenate(cols_out)] = 1.0
-    return m, ids, sizes, {int(i): r for r, i in enumerate(ids)}
+@ray.remote
+def _incidence(tokens_of, *tables: pa.Table):
+    """The dense plan's broadcast side, built in one task from the
+    ``docs(doc_id, text)`` blocks: the doc x token float32 incidence matrix
+    ``m``, the doc ids sorted ascending (a doc's row is
+    ``np.searchsorted(ids, doc_id)``) and the token-set sizes. Only numpy
+    arrays, so every scan task maps them zero-copy from plasma."""
+    ids = np.concatenate([t.column("doc_id").to_numpy() for t in tables])
+    texts = [x for t in tables for x in t.column("text").to_pylist()]
+    order = np.argsort(ids, kind="stable")
+    sets = [tokens_of(texts[r]) for r in order]
+    col = {tok: j for j, tok in enumerate(set().union(*sets))}
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    m = np.zeros((len(sets), len(col)), dtype=np.float32)
+    # one vectorized scatter instead of a per-(doc, token) store loop
+    m[np.repeat(np.arange(len(sets)), sizes),
+      np.fromiter((col[tok] for g in sets for tok in g), dtype=np.int64,
+                  count=int(sizes.sum()))] = 1.0
+    return m, ids[order], sizes
 
 
-_build_ngram_incidence_task = ray.remote(_build_ngram_incidence)
+def _dense_pairs(docs, tokens_of, threshold: float):
+    """The dense plan: streamed row blocks x the broadcast incidence matrix.
+    inter = block @ m.T holds exact integer counts in f32 (<= |vocab| <<
+    2^24); jac in f64 is bit-identical to python set arithmetic; keep the
+    j > i pairs over threshold. The scan is a plain task ``map_batches``
+    whose tasks ``ray.get`` the plasma arrays, so the pool holds no CPU
+    once its output is consumed."""
+    ref = _incidence.remote(tokens_of, *docs.to_arrow_refs())
 
+    def scan(batch: pa.Table) -> pa.Table:
+        m, ids, sizes = ray.get(ref)
+        rows = np.searchsorted(ids, batch.column("doc_id").to_numpy())
+        # ONE cast to f64 (these elementwise passes are bandwidth-bound)
+        inter = (m[rows] @ m.T).astype(np.float64)
+        union = sizes[rows][:, None] + sizes[None, :] - inter
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jac = np.where(union > 0, inter / union, 0.0)
+        bi, bj = np.nonzero((jac >= threshold)
+                            & (np.arange(len(ids))[None, :] > rows[:, None]))
+        return pa.table({
+            "doc_id_a": pa.array(ids[rows[bi]], pa.int64()),
+            "doc_id_b": pa.array(ids[bj], pa.int64()),
+            "jac": pa.array(np.round(jac[bi, bj], 6), pa.float64()),
+        })
 
-def _ngram_jaccard_dense(sf_dir: str, docs, shingles: list, threshold: float):
-    """Exact all-pairs scan as streamed row-blocks x broadcast incidence
-    matrix: inter = block @ M.T (exact integer counts in f32), jac in f64
-    bit-identical to python set arithmetic, keep j>i pairs over threshold."""
-    idx_ref = _build_ngram_incidence_task.remote(_t(sf_dir, "documents"),
-                                                 shingles)
-
-    class DenseScan:
-        def __init__(self):
-            self.m, self.ids, self.sizes, self.row_of = ray.get(idx_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            rows = np.fromiter(
-                (self.row_of[int(i)] for i in batch.column("doc_id").to_pylist()),
-                dtype=np.int64, count=batch.num_rows)
-            # f32 counts are exact (<= |G| << 2^24); ONE cast to f64 instead
-            # of int64-then-f64 (these elementwise passes are bandwidth-bound
-            # and measurable on this host)
-            inter = (self.m[rows] @ self.m.T).astype(np.float64)
-            union = (self.sizes[rows][:, None]
-                     + self.sizes[None, :]).astype(np.float64) - inter
-            with np.errstate(divide="ignore", invalid="ignore"):
-                jac = np.where(union > 0, inter / union, 0.0)
-            keep = (jac >= threshold) & (np.arange(len(self.ids))[None, :]
-                                         > rows[:, None])
-            bi, bj = np.nonzero(keep)
-            a = self.ids[rows[bi]]
-            b = self.ids[bj]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            return pa.table({
-                "doc_id_a": pa.array(lo, pa.int64()),
-                "doc_id_b": pa.array(hi, pa.int64()),
-                "jac": pa.array(np.round(jac[keep], 6), pa.float64()),
-            })
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    return docs.map_batches(DenseScan, batch_format="pyarrow",
-                            batch_size=512,
-                            concurrency=max(2, min(8, n_cpus - 2)))
+    return docs.map_batches(scan, batch_format="pyarrow", batch_size=512)
 
 
 def dedup_minhash_lsh(sf_dir: str, verify_threshold: float = 0.7):

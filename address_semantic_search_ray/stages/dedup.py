@@ -3,7 +3,9 @@
 Scale shapes (the part that must survive 100 TB):
 - exact dedup: hash-partition on the content key (``groupby(text)``), keep the
   min id per group — no driver-side state;
-- n-gram Jaccard: blocked by a cheap key (lang), pairwise only within blocks;
+- char-n-gram / word-set Jaccard: one exact join whose plan (dense
+  broadcast scan or PPJoin prefix postings) follows the token-df
+  statistics (``pipelines/queries.py:set_similarity_join``);
 - MinHash+LSH: signature per doc inside ``map_batches`` -> explode to
   (band_id, band_hash, doc_id) rows -> ``groupby`` bands -> candidate pairs ->
   exact-Jaccard verify. The band groupby is the only shuffle, and it moves

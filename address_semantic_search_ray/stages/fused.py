@@ -197,10 +197,9 @@ class MentionLinkTriplesStage(_RegionStateMixin):
                 o_linked(linked)
                 o_score(score)
                 o_chain(chain)
-        self._maybe_gc()
         return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def process(self, batch: pa.Table) -> pa.Table:
         return route_link_rows(self._link_rows(batch))  # plain lists
 
 

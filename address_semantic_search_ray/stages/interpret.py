@@ -12,6 +12,8 @@ store); the per-row trie walk is pure CPU inside the actor.
 
 from __future__ import annotations
 
+import gc
+
 import pyarrow as pa
 
 from ..kernel.interpreter import Interpreter
@@ -31,16 +33,12 @@ def region_state_bytes(region_dict_path: str) -> bytes:
     import pickle
     import tempfile
 
-    from ..kernel import interpreter as _ki
-    from ..kernel import regions as _kr
-    from ..kernel import trie as _kt
-    from ..kernel import visitor as _kv
     from ..state.checkpoint import code_salt
 
     st = os.stat(region_dict_path)
-    # code-version salt: stale pickles after a kernel change must miss
+    # code-version salt: stale pickles after a package change must miss
     parts = [f"{os.path.abspath(region_dict_path)}:{st.st_size}:{st.st_mtime_ns}",
-             code_salt(_kt, _kr, _kv, _ki)]
+             code_salt()]
     key = hashlib.blake2b("|".join(parts).encode(), digest_size=10).hexdigest()
     # per-user cache dir, mode 0700: a world-writable shared path would let
     # another local user pre-plant a pickle under a derivable key (the key is
@@ -91,6 +89,24 @@ def put_region_table(region_dict_path: str):
 
 
 class _RegionStateMixin:
+    """Replicated read-only region state of an actor-pool stage. A stage
+    implements ``process(batch)``; the mixin owns ``__call__``, which runs
+    the periodic gc sweep before every batch, so no stage can skip it."""
+
+    _GC_EVERY = 512  # batches (~1M rows) between explicit cycle sweeps
+    _gc_tick = 0
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        """Amortized cycle collection while ``_freeze_state`` keeps gc
+        disabled: one explicit ``gc.collect()`` every _GC_EVERY batches
+        costs ~ms and bounds any cyclic garbage the hot loop produces
+        (tests/ADVICE round 2). Per batch it is one counter bump."""
+        self._gc_tick += 1
+        if self._gc_tick >= self._GC_EVERY:
+            self._gc_tick = 0
+            gc.collect()
+        return self.process(batch)
+
     def _init_interpreter(self, region_ref):
         import pickle
 
@@ -125,27 +141,12 @@ class _RegionStateMixin:
         actor pool (A/B at 28 processes: +25% throughput with GC off). The
         hot loop allocates mostly acyclic objects that refcounting frees
         immediately; the rare cycle (pandas frames, caught-exception
-        tracebacks) is reclaimed by the periodic ``_maybe_gc`` sweep below,
-        so sustained runs stay memory-bounded."""
-        import gc
-
+        tracebacks) is reclaimed by the sweep in ``__call__``, so sustained
+        runs stay memory-bounded."""
         gc.collect()
         gc.freeze()
         gc.disable()
         self._gc_tick = 0
-
-    _GC_EVERY = 512  # batches (~1M rows) between explicit cycle sweeps
-
-    def _maybe_gc(self):
-        """Amortized cycle collection while gc stays disabled: one explicit
-        ``gc.collect()`` every _GC_EVERY batches costs ~ms and bounds any
-        cyclic garbage the hot loop produces (tests/ADVICE round 2)."""
-        self._gc_tick += 1
-        if self._gc_tick >= self._GC_EVERY:
-            self._gc_tick = 0
-            import gc
-
-            gc.collect()
 
 
 # Import-side column caps at the persist boundary (S5): the reference
@@ -193,7 +194,7 @@ class CorpusInterpretStage(_RegionStateMixin):
         self._init_interpreter(region_ref)
         self._freeze_state()
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def process(self, batch: pa.Table) -> pa.Table:
         from ..kernel.document import analyse, term_idf_key
         from ..kernel.npindex import district_bucket
 
@@ -209,7 +210,6 @@ class CorpusInterpretStage(_RegionStateMixin):
             addr_ids.append(addr_id)
             queries.append(query_key(a))
             term_keys.append([term_idf_key(t) for t in analyse(a).terms])
-        self._maybe_gc()
         return pa.table({
             "bucket": pa.array([district_bucket(q[0]) for q in queries], pa.int32()),
             "addr_id": pa.array(addr_ids, pa.int64()),
@@ -231,7 +231,7 @@ class MentionStage(_RegionStateMixin):
         self._init_prefilter()
         self._freeze_state()
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def process(self, batch: pa.Table) -> pa.Table:
         batch = self._apply_prefilter(batch)
         it = self.interpreter
         out = {k: [] for k in ("conv_id", "turn_idx", "mention_idx", "role",
@@ -254,7 +254,6 @@ class MentionStage(_RegionStateMixin):
                 queries.append(query_key(m.addr))
                 out["least_region_id"].append(least)
                 out["region_chain"].append(chain)
-        self._maybe_gc()
         return pa.table({
             "conv_id": pa.array(out["conv_id"], pa.string()),
             "turn_idx": pa.array(out["turn_idx"], pa.int32()),

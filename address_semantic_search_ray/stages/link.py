@@ -131,8 +131,7 @@ class LinkerActor(_RegionStateMixin):
             self._cache.popitem(last=False)
         return idx
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        self._maybe_gc()
+    def process(self, batch: pa.Table) -> pa.Table:
         linked_out, score_out = [], []
         for query in query_rows(batch):
             linked, score = self._link(query)

@@ -14,22 +14,38 @@ every stage boundary.
 
 from __future__ import annotations
 
+import functools
 import glob
+import hashlib
 import json
 import os
 import shutil
 import time
 
 
-def code_salt(*modules) -> str:
-    """Code-version salt for cache and checkpoint keys: the size and mtime of
-    each module's source file. Editing a module changes it, so an entry built
-    by older code misses instead of being served stale."""
-    parts = []
-    for mod in modules:
-        st = os.stat(mod.__file__)
-        parts.append(f"{st.st_size}:{st.st_mtime_ns}")
-    return "|".join(parts)
+# the package's own source tree: every module in it salts every cache key
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def code_salt() -> str:
+    """Code-version salt for cache and checkpoint keys: a digest of every
+    ``.py`` file of the package (path and content). Any edit to the package
+    changes it, so an entry built by older code misses instead of being
+    served stale, and no hand-kept module list can miss a module that
+    shapes the cached payload. Read once per process and root."""
+    return _tree_digest(PACKAGE_ROOT)
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_digest(root: str) -> str:
+    h = hashlib.blake2b(digest_size=10)
+    for path in sorted(glob.glob(os.path.join(root, "**", "*.py"),
+                                 recursive=True)):
+        with open(path, "rb") as f:
+            src = f.read()
+        h.update(f"{os.path.relpath(path, root)}\0{len(src)}\0".encode())
+        h.update(src)
+    return h.hexdigest()
 
 
 def fingerprint_paths(*paths: str, extra: dict | None = None) -> str:
@@ -45,8 +61,6 @@ def fingerprint_paths(*paths: str, extra: dict | None = None) -> str:
                 st = os.stat(f)
                 items.append((f, st.st_size, st.st_mtime_ns))
     blob = json.dumps({"files": items, "extra": extra or {}}, sort_keys=True)
-    import hashlib
-
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -17,6 +17,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from address_semantic_search_ray.stages.dedup import _char_shingles
+from tests.conftest import SF_SMALL
 
 
 def _brute_force(ids, texts, threshold):
@@ -70,16 +71,11 @@ def test_prefix_filter_path_matches_brute_force(ray_session, skewed_corpus):
 
 
 def test_dense_path_matches_brute_force(ray_session, skewed_corpus):
-    from address_semantic_search_ray.pipelines.queries import (
-        _ngram_jaccard_dense, _read)
-    from collections import Counter
+    from address_semantic_search_ray.pipelines.queries import _dense_pairs, _read
 
     sf_dir, ids, texts = skewed_corpus
-    df: Counter = Counter()
-    for t in texts:
-        df.update(_char_shingles(t))
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    got = _result_set(_ngram_jaccard_dense(sf_dir, docs, sorted(df), 0.5))
+    got = _result_set(_dense_pairs(docs, _char_shingles, 0.5))
     assert got == _brute_force(ids, texts, 0.5)
 
 
@@ -102,6 +98,24 @@ def test_adaptive_switch_routes_by_df_shape(skewed_corpus):
         df2.update(_char_shingles(t))
     med2 = float(np.median(np.fromiter(df2.values(), dtype=np.int64)))
     assert med2 > 0.01 * tbl.num_rows  # routes dense
+
+
+def test_plan_chooser_routes_by_df_shape(ray_session, skewed_corpus,
+                                         monkeypatch):
+    """``set_similarity_join``'s one plan rule: the skewed corpus takes the
+    prefix plan; both dedup tokenizers take the dense plan on the driver's
+    documents."""
+    from address_semantic_search_ray.pipelines import queries as q
+
+    routes = []
+    monkeypatch.setattr(q, "_dense_pairs", lambda *a: routes.append("dense"))
+    monkeypatch.setattr(q, "_prefix_filter_pairs",
+                        lambda *a: routes.append("prefix"))
+    for sf_dir in (skewed_corpus[0], SF_SMALL):
+        q.set_similarity_join(q._read(sf_dir, "documents", ["doc_id", "text"]),
+                              _char_shingles, None, 0.5)
+    q.dedup_wordset_jaccard(SF_SMALL)
+    assert routes == ["prefix", "dense", "dense"]
 
 
 def _uf_canonical(ids, texts, threshold):
@@ -334,29 +348,40 @@ def test_wordset_dense_matches_grouped(ray_session):
     assert key(dense) == key(grouped) and len(dense) == len(grouped)
 
 
-def _postings_matches_dense(monkeypatch, n_buckets=None):
-    from address_semantic_search_ray.pipelines.queries import dedup_wordset_jaccard
-    from address_semantic_search_ray.stages import cogroup
+def _wordset_plans(docs, threshold):
+    """The word-set join's pair sets on each plan, called directly:
+    (dense, prefix filter)."""
+    from address_semantic_search_ray.pipelines.queries import (
+        _dense_pairs, _lang_word_tokens, _prefix_filter_pairs, _token_df_agg,
+        _wordset_sim)
 
-    sf = "/root/testdata/sf0.001"
+    dense = _dense_pairs(docs, _lang_word_tokens, threshold).to_pandas()
+    post = _prefix_filter_pairs(docs, _token_df_agg(docs, _lang_word_tokens),
+                                docs.count(), _wordset_sim, threshold,
+                                _lang_word_tokens).to_pandas()
     key = lambda df: set(zip(df["doc_id_a"].astype(int),
                              df["doc_id_b"].astype(int),
                              df["jac"].round(6)))
-    monkeypatch.setenv("ASR_WORDSET_PLAN", "dense")
-    dense = dedup_wordset_jaccard(sf, 0.5).to_pandas()
-    monkeypatch.setenv("ASR_WORDSET_PLAN", "postings")
+    assert len(dense) == len(key(dense)) and len(post) == len(key(post))
+    return key(dense), key(post)
+
+
+def _postings_matches_dense(monkeypatch, n_buckets=None):
+    from address_semantic_search_ray.pipelines.queries import _wordset_docs
+    from address_semantic_search_ray.stages import cogroup
+
     if n_buckets is not None:
         monkeypatch.setattr(cogroup, "N_COGROUP_BUCKETS", n_buckets)
-    post = dedup_wordset_jaccard(sf, 0.5).to_pandas()
-    assert len(dense) > 0 and key(dense) == key(post)
+    dense, post = _wordset_plans(_wordset_docs(SF_SMALL), 0.5)
+    assert len(dense) > 0 and dense == post
 
 
 def test_wordset_postings_route_matches_dense(ray_session, monkeypatch):
-    """Round-4 verdict #1: the oversized-vocab fallback is the PPJoin
-    prefix-filter plan over lang-qualified word tokens — forced via
-    ASR_WORDSET_PLAN, it must emit the dense route's exact pair table.
-    At the default co-group bucket count a pair can come out of several
-    shingle buckets, so verify must drop the copies."""
+    """Round-4 verdict #1: the oversized-vocab plan is the PPJoin
+    prefix filter over lang-qualified word tokens — called directly, it
+    must emit the dense plan's exact pair table. At the default co-group
+    bucket count a pair can come out of several shingle buckets, so verify
+    must drop the copies."""
     _postings_matches_dense(monkeypatch)
 
 
@@ -365,14 +390,10 @@ def test_wordset_postings_route_one_bucket(ray_session, monkeypatch):
     _postings_matches_dense(monkeypatch, n_buckets=1)
 
 
-def test_wordset_postings_within_lang_only(ray_session, monkeypatch, tmp_path):
-    """Identical texts in different langs must NOT pair on the postings
-    route (lang-qualified posting keys make cross-lang candidates
-    impossible)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from address_semantic_search_ray.pipelines.queries import dedup_wordset_jaccard
+@pytest.fixture
+def two_lang_docs(tmp_path):
+    """Docs 1 and 2 share a text but not a lang; jac(1, 3) = 0.8."""
+    from address_semantic_search_ray.pipelines.queries import _wordset_docs
 
     texts = ["alpha beta gamma delta", "alpha beta gamma delta",
              "alpha beta gamma delta epsilon", "unrelated words here now"]
@@ -381,10 +402,22 @@ def test_wordset_postings_within_lang_only(ray_session, monkeypatch, tmp_path):
                              "lang": pa.array(langs, pa.string()),
                              "text": pa.array(texts, pa.string())}),
                    str(tmp_path / "documents.parquet"))
-    monkeypatch.setenv("ASR_WORDSET_PLAN", "postings")
-    got = dedup_wordset_jaccard(str(tmp_path), 0.75).to_pandas()
-    pairs = set(zip(got["doc_id_a"].astype(int), got["doc_id_b"].astype(int)))
-    assert pairs == {(1, 3)}  # 1-2 same text but cross-lang; jac(1,3)=0.8
+    return _wordset_docs(str(tmp_path))
+
+
+def test_wordset_postings_within_lang_only(ray_session, two_lang_docs):
+    """Identical texts in different langs must NOT pair on the postings
+    plan (lang-qualified posting keys make cross-lang candidates
+    impossible)."""
+    _, post = _wordset_plans(two_lang_docs, 0.75)
+    assert {(a, b) for a, b, _ in post} == {(1, 3)}
+
+
+def test_wordset_dense_within_lang_only(ray_session, two_lang_docs):
+    """Nor on the dense plan: lang-qualified tokens give a cross-lang pair
+    an empty intersection, so its Jaccard is 0."""
+    dense, _ = _wordset_plans(two_lang_docs, 0.75)
+    assert {(a, b) for a, b, _ in dense} == {(1, 3)}
 
 
 def test_wordset_grouped_quadratic_branch_is_gone():
@@ -397,3 +430,43 @@ def test_wordset_grouped_quadratic_branch_is_gone():
     src = inspect.getsource(queries.dedup_wordset_jaccard)
     assert "wordset_jaccard_pairs" not in src
     assert 'groupby("lang")' not in src
+
+
+_HOLD_SCRIPT = """
+import json, sys, time
+import ray
+ray.init(address="local", num_cpus=4, include_dashboard=False,
+         logging_level="ERROR")
+from address_semantic_search_ray.pipelines import queries as q
+total = ray.cluster_resources()["CPU"]
+held = {}
+for name in ("dedup_wordset_jaccard", "dedup_ngram_jaccard",
+             "dedup_clusters", "dedup_filter"):
+    getattr(q, name)(sys.argv[1]).to_pandas()
+    deadline = time.time() + 10
+    while ray.available_resources().get("CPU", 0) < total \\
+            and time.time() < deadline:
+        time.sleep(0.2)
+    held[name] = total - ray.available_resources().get("CPU", 0)
+ray.shutdown()
+print(json.dumps(held))
+"""
+
+
+def test_dedup_queries_release_cpus():
+    """A finished dedup query holds no CPU, so the next query in the same
+    session gets the whole cluster. A fresh Ray session (its own process,
+    so no earlier test's state counts) runs the four dedup queries one
+    after another; after each ``to_pandas()``, with no ``gc.collect()``,
+    every CPU must be free again within 10 s."""
+    import json
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _HOLD_SCRIPT, SF_SMALL],
+        cwd=repo, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr[-2000:]
+    held = json.loads(out.stdout.strip().splitlines()[-1])
+    assert held == {name: 0 for name in held} and len(held) == 4, held

@@ -7,6 +7,7 @@ ordering, dedup. Also covers resume-from-checkpoint semantics.
 
 from __future__ import annotations
 
+import gc
 import shutil
 
 import pyarrow.compute as pc
@@ -20,6 +21,15 @@ from address_semantic_search_ray.pipelines.oracle import run_oracle
 @pytest.fixture(scope="module")
 def tiny_data():
     return ensure_dataset(0.001, root="/tmp/asr_synth_test")
+
+
+@pytest.fixture
+def restore_gc():
+    """In-process stages freeze and disable this process's gc (their
+    actors' hot-loop setting); give it back after the test."""
+    yield
+    gc.unfreeze()
+    gc.enable()
 
 
 def _triple_set(table):
@@ -129,19 +139,20 @@ def test_resume_reruns_after_code_change(ray_session, tiny_data, tmp_path, monke
     from address_semantic_search_ray.pipelines import kg
 
     work = str(tmp_path / "work")
-    monkeypatch.setattr(kg, "_code_version", lambda: "v1")
+    monkeypatch.setattr(kg, "code_salt", lambda: "v1")
     first = kg.run_kg_pipeline(tiny_data, work, concurrency=2)
     assert not any(m["skipped"] for m in first["metrics"])
     same = kg.run_kg_pipeline(tiny_data, work, concurrency=2)
     assert all(m["skipped"] for m in same["metrics"])
-    monkeypatch.setattr(kg, "_code_version", lambda: "v2")
+    monkeypatch.setattr(kg, "code_salt", lambda: "v2")
     changed = kg.run_kg_pipeline(tiny_data, work, concurrency=2)
     assert [m["stage"] for m in changed["metrics"]] == [
         "doc_vectors", "idf", "mentions", "links", "triples"]
     assert not any(m["skipped"] for m in changed["metrics"])
 
 
-def test_triples_invariant_under_bucket_counts(tiny_data, monkeypatch):
+def test_triples_invariant_under_bucket_counts(tiny_data, monkeypatch,
+                                               restore_gc):
     """Both modes route link rows with ``route_link_rows`` and finalize each
     route group with ``finalize_route_group``, so this in-process check (no
     Ray) pins for both that the conv and edge bucket counts never change the
@@ -182,14 +193,76 @@ def test_triples_invariant_under_bucket_counts(tiny_data, monkeypatch):
     assert run_set == _triple_set(run_oracle(tiny_data))
 
 
-def test_links_invariant_under_memo_cap(tiny_data, pipeline_result, monkeypatch):
+def test_every_region_stage_sweeps_gc(monkeypatch):
+    """``_freeze_state`` turns automatic gc off, so every
+    ``_RegionStateMixin`` stage must sweep within ``_GC_EVERY`` batches.
+    The mixin owns ``__call__`` and the stages only define ``process``, so
+    none can skip the sweep."""
+    import address_semantic_search_ray.pipelines.extras  # noqa: F401
+    import address_semantic_search_ray.stages.fused  # noqa: F401
+    from address_semantic_search_ray.stages import interpret
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    stages = {c for c in subclasses(interpret._RegionStateMixin)
+              if c.__module__.startswith("address_semantic_search_ray.")}
+    assert {"TownMineStage", "RegressionLinkStage", "ExplainLinker",
+            "MentionLinkTriplesStage", "LinkerActor"} <= {
+                c.__name__ for c in stages}
+    sweeps = []
+    monkeypatch.setattr(interpret.gc, "collect", lambda: sweeps.append(1))
+    for cls in stages:
+        assert "__call__" not in vars(cls), cls
+        stage = cls.__new__(cls)
+        stage.process = lambda batch: batch
+        sweeps.clear()
+        for _ in range(cls._GC_EVERY):
+            assert stage("batch") == "batch"
+        assert sweeps == [1], cls
+
+
+def test_index_cache_key_salts_every_package_module(tmp_path, monkeypatch):
+    """The corpus-index cache key changes with the source of any package
+    module, among them ``stages/interpret.py`` and ``kernel/mentions.py``,
+    which shape the cached payload. The edits go to copies of the
+    package's sources, never to the package itself."""
+    import glob
+    import os
+
+    from address_semantic_search_ray.pipelines import kg
+    from address_semantic_search_ray.state import checkpoint
+
+    addresses = tmp_path / "addresses.parquet"
+    addresses.write_bytes(b"rows")  # the key reads only its size and mtime
+    src = checkpoint.PACKAGE_ROOT
+    keys = {}
+    for name, edit in (("copy", None), ("interpret", "stages/interpret.py"),
+                       ("mentions", "kernel/mentions.py")):
+        root = tmp_path / name
+        for path in glob.glob(os.path.join(src, "**", "*.py"), recursive=True):
+            dst = root / os.path.relpath(path, src)
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(path, dst)
+        if edit:
+            with open(root / edit, "a") as f:
+                f.write("\n# edited\n")
+        monkeypatch.setattr(checkpoint, "PACKAGE_ROOT", str(root))
+        keys[name] = kg._index_cache_path(str(addresses), "region")
+    monkeypatch.undo()
+    assert keys["copy"] == kg._index_cache_path(str(addresses), "region")
+    assert len(set(keys.values())) == 3, keys
+
+
+def test_links_invariant_under_memo_cap(tiny_data, pipeline_result, monkeypatch,
+                                        restore_gc):
     """Every linker's memo only saves recomputation: with the link-memo cap
     at 1 (cleared on nearly every miss) the fused stage routes the same rows
     as at the default cap, and ``LinkerActor`` links the ``mentions/``
     checkpoint to the same rows as the ``links/`` checkpoint. In-process,
     so the patched cap reaches the stages."""
-    import gc
-
     import pyarrow as pa
 
     from address_semantic_search_ray.pipelines import kg
@@ -221,14 +294,10 @@ def test_links_invariant_under_memo_cap(tiny_data, pipeline_result, monkeypatch)
         memo_sizes = [len(stage._link._memo), len(linker._link._memo)]
         return rows(routed), rows(linked), memo_sizes
 
-    try:
-        routed, linked, sizes = routed_and_linked()
-        assert min(sizes) > 1  # the default-cap memos held many queries
-        monkeypatch.setattr(link, "LINK_MEMO_MAX", 1)
-        routed_1, linked_1, sizes_1 = routed_and_linked()
-    finally:
-        gc.unfreeze()  # the stages froze and disabled this process's gc
-        gc.enable()
+    routed, linked, sizes = routed_and_linked()
+    assert min(sizes) > 1  # the default-cap memos held many queries
+    monkeypatch.setattr(link, "LINK_MEMO_MAX", 1)
+    routed_1, linked_1, sizes_1 = routed_and_linked()
     assert max(sizes_1) <= 1
     assert routed_1 == routed
     assert linked_1 == linked == rows(pq.read_table(pipeline_result["links"]))
