@@ -945,8 +945,11 @@ def oracle_sql() -> dict[str, str]:
             closure(subj, ancestor, depth) AS (
                 SELECT subj, obj, 1 FROM e
                 UNION ALL
+                -- the Ray closure's 32-deep guard: a cyclic part_of
+                -- table ends here instead of recursing forever
                 SELECT c.subj, e.obj, c.depth + 1
                 FROM closure c JOIN e ON c.ancestor = e.subj
+                WHERE c.depth < 32
             )
             SELECT subj, ancestor, depth::BIGINT AS depth FROM closure
         """,
@@ -956,10 +959,12 @@ def oracle_sql() -> dict[str, str]:
                 FROM read_parquet('{SF001_ORACLE}/kg_triples.parquet')
                 WHERE pred = 'part_of' GROUP BY subj
             ),
-            closure(subj, ancestor) AS (
-                SELECT subj, obj FROM e
+            closure(subj, ancestor, depth) AS (
+                SELECT subj, obj, 1 FROM e
                 UNION ALL
-                SELECT c.subj, e.obj FROM closure c JOIN e ON c.ancestor = e.subj
+                SELECT c.subj, e.obj, c.depth + 1
+                FROM closure c JOIN e ON c.ancestor = e.subj
+                WHERE c.depth < 32  -- the Ray closure's depth guard
             ),
             direct AS (
                 SELECT obj AS region, count(*)::BIGINT AS n

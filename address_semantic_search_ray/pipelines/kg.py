@@ -13,6 +13,7 @@ Two modes, byte-identical triples:
     links                     -> map_batches(route_link_batch)
                               -> groupby(route).map_groups(finalize_route_group)
                                  [K3 + D4]      -> triples/ Parquet
+                                 (route count: group_count(rows of links/))
 
 ``run_kg_streaming`` (broadcast-index — when the corpus index fits in worker
 memory, the common case against a 10^12-turn transcript table): the corpus
@@ -22,6 +23,7 @@ streaming job with no mid-pipeline disk:
     read_parquet(transcripts) -> map_batches(MentionLinkTriplesStage, actor pool)
                               -> groupby(route).map_groups(finalize_route_group)
                               -> triples/ Parquet
+                                 (route count: group_count(transcript rows))
 An index estimated above ``BROADCAST_INDEX_MAX_BYTES`` falls back to the
 checkpointed mode.
 
@@ -32,13 +34,17 @@ above it a distributed interpret + per-bucket sharded build
 (``build_sharded_index_refs``).
 
 Both modes turn link rows into triples through the same code
-(stages/fused.py): ``route_link_rows`` routes each mention to a conv bucket
-and each part_of edge to an edge bucket; ``finalize_route_group`` dedups and
-formats one bucket. Every linker keys its queries with ``query_key``
-(kernel/mentions.py) and memoizes them in ``LinkMemo`` (stages/link.py).
+(stages/fused.py): ``route_link_rows`` puts mentions (by conv) and part_of
+edges (by child, parent) into one bucket space, whose size
+``cogroup.group_count`` takes from a row bound read off parquet footers
+(the transcripts when streaming, ``links/`` when checkpointed);
+``finalize_route_group`` dedups and formats one bucket of either kind.
+Every linker keys its queries with ``query_key`` (kernel/mentions.py) and
+memoizes them in ``LinkMemo`` (stages/link.py).
 
 Shuffle keys: (district_key, term_key) for IDF, district_key for linking,
-conv_id for canonicalization — ONE partitioning key reused per concern.
+conv_id (and the part_of pair, in the same bucket space) for
+canonicalization — ONE partitioning key reused per concern.
 Every checkpointed stage boundary is resumable (state/checkpoint.py); stage
 fingerprints include the code version, so a resume after a code change
 reruns every stage.
@@ -54,6 +60,7 @@ import ray
 import ray.data as rd
 
 from ..kernel.npindex import N_DISTRICT_BUCKETS
+from ..stages.cogroup import footer_rows, group_count
 from ..stages.fused import (
     MentionLinkTriplesStage, finalize_route_group, route_link_batch,
 )
@@ -172,7 +179,8 @@ def run_kg_pipeline(
     def write_triples(tmp):
         (
             rd.read_parquet(links_dir)
-            .map_batches(route_link_batch, batch_format="pyarrow")
+            .map_batches(route_link_batch, batch_format="pyarrow",
+                         fn_kwargs={"n": group_count(footer_rows(links_dir))})
             .groupby("route")
             .map_groups(finalize_route_group, batch_format="pyarrow")
             .write_parquet(tmp)
@@ -457,7 +465,8 @@ def run_kg_streaming(
                         override_num_blocks=concurrency * STREAM_BLOCKS_PER_ACTOR)
         .map_batches(
             MentionLinkTriplesStage,
-            fn_constructor_args=(region_ref, index_ref, top_n),
+            fn_constructor_args=(region_ref, index_ref, top_n,
+                                 group_count(footer_rows(transcripts_path))),
             batch_format="pyarrow",
             batch_size=batch_size,
             concurrency=concurrency,
@@ -466,8 +475,9 @@ def run_kg_streaming(
         .map_groups(finalize_route_group, batch_format="pyarrow")
     )
     # ONE streaming job end-to-end: fused mention+link+emit, a single routed
-    # groupby covering both per-conv canonicalization and global part_of
-    # dedup, then the write. No mid-pipeline materialization.
+    # groupby whose groups each hold whole conversations and whole part_of
+    # edges (per-conv canonicalization and global edge dedup), then the
+    # write. No mid-pipeline materialization.
     os.makedirs(out_dir, exist_ok=True)
     triples_dir = os.path.join(out_dir, "triples")
     import shutil

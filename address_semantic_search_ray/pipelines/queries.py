@@ -818,18 +818,33 @@ def _incidence(tokens_of, *tables: pa.Table):
     return m, ids[order], sizes
 
 
+# per-task scratch of the dense scan: a block of r rows holds ~5 r x n_docs
+# arrays of 8 bytes (the f32 product, inter, union, jac, the masks)
+DENSE_SCAN_SCRATCH_BYTES = 128 << 20
+DENSE_SCAN_ROWS_MAX = 512
+
+
+def dense_scan_rows(n_docs: int, scratch_bytes: int) -> int:
+    """Rows per dense-scan block: at the default budget 512 up to ~6.5k
+    docs, then fewer, so a block's ``rows x n_docs`` scratch stays under
+    ``scratch_bytes`` whatever the corpus size."""
+    return max(1, min(DENSE_SCAN_ROWS_MAX,
+                      scratch_bytes // (40 * max(n_docs, 1))))
+
+
 def _dense_pairs(docs, tokens_of, threshold: float):
     """The dense plan: streamed row blocks x the broadcast incidence matrix.
     inter = block @ m.T holds exact integer counts in f32 (<= |vocab| <<
     2^24); jac in f64 is bit-identical to python set arithmetic; keep the
-    j > i pairs over threshold. The scan is a plain task ``map_batches``
-    whose tasks ``ray.get`` the plasma arrays, so the pool holds no CPU
-    once its output is consumed."""
+    j > i pairs over threshold. Each batch is scanned in blocks of
+    ``dense_scan_rows`` rows (``DENSE_SCAN_SCRATCH_BYTES`` is read when the
+    plan is built). The scan is a plain task ``map_batches`` whose tasks
+    ``ray.get`` the plasma arrays, so the pool holds no CPU once its output
+    is consumed."""
     ref = _incidence.remote(tokens_of, *docs.to_arrow_refs())
+    scratch = DENSE_SCAN_SCRATCH_BYTES
 
-    def scan(batch: pa.Table) -> pa.Table:
-        m, ids, sizes = ray.get(ref)
-        rows = np.searchsorted(ids, batch.column("doc_id").to_numpy())
+    def scan_block(m, ids, sizes, rows):
         # ONE cast to f64 (these elementwise passes are bandwidth-bound)
         inter = (m[rows] @ m.T).astype(np.float64)
         union = sizes[rows][:, None] + sizes[None, :] - inter
@@ -843,7 +858,15 @@ def _dense_pairs(docs, tokens_of, threshold: float):
             "jac": pa.array(np.round(jac[bi, bj], 6), pa.float64()),
         })
 
-    return docs.map_batches(scan, batch_format="pyarrow", batch_size=512)
+    def scan(batch: pa.Table) -> pa.Table:
+        m, ids, sizes = ray.get(ref)
+        rows = np.searchsorted(ids, batch.column("doc_id").to_numpy())
+        step = dense_scan_rows(len(ids), scratch)
+        return pa.concat_tables([scan_block(m, ids, sizes, rows[i:i + step])
+                                 for i in range(0, max(len(rows), 1), step)])
+
+    return docs.map_batches(scan, batch_format="pyarrow",
+                            batch_size=DENSE_SCAN_ROWS_MAX)
 
 
 def dedup_minhash_lsh(sf_dir: str, verify_threshold: float = 0.7):

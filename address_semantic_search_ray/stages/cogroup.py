@@ -5,14 +5,23 @@
 calls ``fold`` once per bucket. A key never spans buckets, so a fold that
 groups by ``key`` inside its bucket sees all of that key's rows, and the
 output does not depend on N. Ray pays its per-group ``map_groups`` cost
-(~5-15 ms) once per bucket, not once per distinct key.
+(~5-15 ms) once per bucket, not once per distinct key. The KG triples
+shuffle (stages/fused.py) routes with the same ``bucket_of`` and sizes its
+bucket space with the same ``group_count``.
 
 The helper owns the whole decision:
 
 - **hash**: integer keys by value (``% N``), string keys by crc32 (never
   builtin ``hash``, which differs across workers), a list of key columns
   combined into one;
-- **count**: ``N_COGROUP_BUCKETS``, read when the plan is built;
+- **count**: ``group_count(row_bound)``, computed when the plan is built
+  from a row bound the caller reads off parquet footers
+  (``footer_rows``): the bound over ``GROUP_ROWS_BUDGET / 2``, clamped
+  between ``GROUPS_PER_CPU`` groups per cluster CPU (the whole count when
+  no bound is known, as in ``cogroup``) and ``MAX_GROUPS``. Each group
+  costs a fixed few ms, so the count follows the input instead of paying
+  for empty buckets, and a 10x input keeps every group under the budget.
+  ``N_COGROUP_BUCKETS`` is the one test hook: set, it forces every count;
 - **plan**: the sides are tagged (``_side`` = position) and unioned, then
   one ``groupby("_b").map_groups(fold)``. Tagging makes every shuffled
   block metadata-free Arrow, so a side may emit DataFrames; a fold may
@@ -22,6 +31,9 @@ The helper owns the whole decision:
 from __future__ import annotations
 
 import functools
+import glob
+import math
+import os
 import zlib
 
 import numpy as np
@@ -29,8 +41,15 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# a few groups per CPU of an 8-CPU node; the output is count-independent
-N_COGROUP_BUCKETS = 32
+# test hook: an int forces every bucket count (the output is
+# count-independent); None sizes each count from its input
+N_COGROUP_BUCKETS: int | None = None
+# rows one group may hold: a group is one pandas fold in one task
+# (``finalize_route_group`` over 195k routed rows raised peak RSS by
+# 120 MB); counts aim at half of it, the slack for hash skew
+GROUP_ROWS_BUDGET = 100_000
+GROUPS_PER_CPU = 4
+MAX_GROUPS = 1 << 13
 BUCKET = "_b"
 SIDE = "_side"
 
@@ -43,6 +62,33 @@ def to_arrow(df: pd.DataFrame) -> pa.Table:
     ``cogroup`` tags its sides in Arrow, so they need not."""
     return pa.Table.from_pandas(df, preserve_index=False) \
         .replace_schema_metadata(None)
+
+
+def footer_rows(path: str) -> int:
+    """Row count of a parquet file or directory from its footers alone
+    (no Dataset, no data read)."""
+    import pyarrow.parquet as pq
+
+    files = sorted(glob.glob(os.path.join(path, "**", "*.parquet"),
+                             recursive=True)) if os.path.isdir(path) else [path]
+    return sum(pq.read_metadata(f).num_rows for f in files)
+
+
+def _cluster_cpus() -> int:
+    import ray
+
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return os.cpu_count() or 1
+
+
+def group_count(row_bound: int = 0) -> int:
+    """Bucket count of a keyed fold over ~``row_bound`` rows (see the
+    module docstring); ``N_COGROUP_BUCKETS`` overrides it."""
+    if N_COGROUP_BUCKETS is not None:
+        return N_COGROUP_BUCKETS
+    want = math.ceil(row_bound / (GROUP_ROWS_BUDGET // 2))
+    return min(MAX_GROUPS, max(GROUPS_PER_CPU * _cluster_cpus(), want))
 
 
 def _column_hash(col: pa.ChunkedArray) -> np.ndarray:
@@ -87,7 +133,7 @@ def cogroup(sides, key, fold):
     row carries its side's position in ``_side``; a fold tells the sides
     apart by it. Every group also carries the ``_b`` column. ``fold``
     returns a DataFrame or an Arrow table."""
-    n = N_COGROUP_BUCKETS
+    n = group_count()
     if not isinstance(sides, (list, tuple)):
         sides = [sides]
     tagged = [ds.map_batches(_tag, batch_format="pyarrow",

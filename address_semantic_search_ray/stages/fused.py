@@ -2,10 +2,15 @@
 mention-detection + linking stage of the broadcast-index mode.
 
 Both modes turn link rows (``FUSED_SCHEMA``) into triples the same way:
-``route_link_rows`` routes each mention row to a conv bucket and each
-batch-deduped ``part_of`` edge to an edge bucket (``TRIPLE_ROUTE_SCHEMA``,
-int codes only), then one ``groupby("route").map_groups(finalize_route_group)``
-expands, dedups and formats them (``TRIPLE_SCHEMA``).
+``route_link_rows`` puts each mention row and each batch-deduped
+``part_of`` edge into ONE bucket space ``[0, n)`` (``TRIPLE_ROUTE_SCHEMA``,
+int codes only) with ``stages/cogroup.py``'s hash: mentions by ``conv_id``,
+edges by ``(child, parent)``. The caller sizes ``n`` from its input with
+``cogroup.group_count``. One ``groupby("route").map_groups(
+finalize_route_group)`` then splits each group into its edge rows
+(``mention_idx == -1``) and mention rows, and dedups and formats both
+(``TRIPLE_SCHEMA``). A conversation and an edge never span groups, so the
+triples do not depend on ``n``.
 
 - Streaming (``run_kg_streaming``): the flat numpy similarity index
   (kernel/npindex.py) is ``ray.put`` ONCE; each actor's ``ray.get`` maps the
@@ -20,10 +25,12 @@ expands, dedups and formats them (``TRIPLE_SCHEMA``).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 from ..kernel.mentions import find_mentions, query_key
 from ..kernel.npindex import NpCorpusIndex, ShardedNpIndex
+from .cogroup import bucket_of, group_count
 from .interpret import _RegionStateMixin, _region_ids
 
 
@@ -59,10 +66,10 @@ FUSED_SCHEMA = pa.schema([
 ])
 
 TRIPLE_ROUTE_SCHEMA = pa.schema([
-    ("route", pa.int32()),  # <1000: conv bucket; >=1000: part_of edge bucket
+    ("route", pa.int32()),  # bucket in [0, n): mentions by conv, edges by pair
     ("conv_id", pa.string()),
     ("turn_idx", pa.int32()),
-    ("mention_idx", pa.int32()),
+    ("mention_idx", pa.int32()),  # -1 marks a part_of edge row
     ("role", pa.string()),
     ("district_key", pa.string()),
     ("least", pa.int64()),   # mention rows: least_region_id; edges: child
@@ -82,33 +89,25 @@ TRIPLE_SCHEMA = pa.schema([
     ("score", pa.float64()),
 ])
 
-_N_CONV_BUCKETS = 256
-_N_EDGE_BUCKETS = 64
 
-
-def route_link_rows(rows: dict[str, list]) -> pa.Table:
+def route_link_rows(rows: dict[str, list], n: int) -> pa.Table:
     """Link rows as plain column lists (``FUSED_SCHEMA`` names) -> routed
-    COMPACT rows: one per mention, routed by conv bucket, plus the batch's
-    distinct ``part_of`` edges as int pairs, routed by edge bucket. No
-    subj/pred/obj strings yet — ``finalize_route_group`` builds them after
-    the shuffle, so the all-to-all moves ~2.5x fewer bytes per turn and no
-    per-row f-string is allocated here."""
-    from zlib import crc32
-
+    COMPACT rows: one per mention, bucketed by ``conv_id``, plus the batch's
+    distinct ``part_of`` edges as int pairs (``mention_idx`` -1), bucketed
+    by ``(child, parent)``, all in ``[0, n)``. No subj/pred/obj strings
+    yet — ``finalize_route_group`` builds them after the shuffle, so the
+    all-to-all moves ~2.5x fewer bytes per turn and no per-row f-string is
+    allocated here."""
     convs = rows["conv_id"]
-    routes = [crc32(c.encode()) % _N_CONV_BUCKETS for c in convs]
     edges = set()
     for chain in rows["region_chain"]:
         for child, parent in zip(chain, chain[1:]):
             edges.add((child, parent))
-    ne = len(edges)
+    nm, ne = len(convs), len(edges)
     e_child = [c for c, _ in edges]
     e_parent = [p for _, p in edges]
-    e_route = [1000 + crc32(b"%d:%d" % (c, p)) % _N_EDGE_BUCKETS
-               for c, p in edges]
-    return pa.Table.from_arrays(
+    t = pa.Table.from_arrays(
         [
-            pa.array(routes + e_route, pa.int32()),
             pa.array(convs + [""] * ne, pa.string()),
             pa.array(rows["turn_idx"] + [-1] * ne, pa.int32()),
             pa.array(rows["mention_idx"] + [-1] * ne, pa.int32()),
@@ -118,24 +117,32 @@ def route_link_rows(rows: dict[str, list]) -> pa.Table:
             pa.array(rows["linked_addr"] + e_parent, pa.int64()),
             pa.array(rows["score"] + [1.0] * ne, pa.float64()),
         ],
-        schema=TRIPLE_ROUTE_SCHEMA,
+        schema=pa.schema(list(TRIPLE_ROUTE_SCHEMA)[1:]),
     )
+    route = np.concatenate([bucket_of(t.slice(0, nm), "conv_id", n),
+                            bucket_of(t.slice(nm), ["least", "linked"], n)])
+    return t.add_column(0, TRIPLE_ROUTE_SCHEMA.field("route"),
+                        pa.array(route.astype(np.int32)))
 
 
-def route_link_batch(batch: pa.Table) -> pa.Table:
+def route_link_batch(batch: pa.Table, n: int) -> pa.Table:
     """Arrow adapter over ``route_link_rows`` for a batch of stored link rows."""
-    return route_link_rows({n: batch.column(n).to_pylist() for n in FUSED_SCHEMA.names})
+    return route_link_rows(
+        {c: batch.column(c).to_pylist() for c in FUSED_SCHEMA.names}, n)
 
 
 class MentionLinkTriplesStage(_RegionStateMixin):
     """Fully fused: transcripts -> routed COMPACT rows in ONE pass
-    (detect + link, then ``route_link_rows``). The whole streaming pipeline
-    stays a single job: read -> this stage -> one groupby -> finalize ->
-    write."""
+    (detect + link, then ``route_link_rows`` into ``n_routes`` buckets; an
+    in-process caller that passes none gets ``group_count()``). The whole
+    streaming pipeline stays a single job: read -> this stage -> one
+    groupby -> finalize -> write."""
 
-    def __init__(self, region_ref, index_ref, top_n: int = 1):
+    def __init__(self, region_ref, index_ref, top_n: int = 1,
+                 n_routes: int | None = None):
         from .link import top1_link_memo  # link.py imports this module
 
+        self._n_routes = n_routes or group_count()
         self._init_interpreter(region_ref)
         self._init_prefilter()
         self.np_index = resolve_index(index_ref)
@@ -200,62 +207,78 @@ class MentionLinkTriplesStage(_RegionStateMixin):
         return out
 
     def process(self, batch: pa.Table) -> pa.Table:
-        return route_link_rows(self._link_rows(batch))  # plain lists
+        return route_link_rows(self._link_rows(batch), self._n_routes)
+
+
+def _edge_triples(df):
+    """part_of edge rows -> deduped part_of triples."""
+    import pandas as pd
+
+    df = df.drop_duplicates(["least", "linked"])
+    return pd.DataFrame({
+        "subj": "region:" + df["least"].astype(str),
+        "pred": "part_of",
+        "obj": "region:" + df["linked"].astype(str),
+        "conv_id": "", "turn_idx": -1, "district_key": "", "score": 1.0,
+    }).sort_values(["subj", "obj"])
+
+
+def _mention_triples(df):
+    """Mention rows -> their located_at + mentions triples (see
+    ``finalize_route_group``)."""
+    import pandas as pd
+
+    df = df.sort_values(["conv_id", "turn_idx", "mention_idx"],
+                        kind="stable").reset_index(drop=True)
+    pos = np.arange(len(df), dtype=np.int64)
+    la_keep = ~df.duplicated(["conv_id", "role", "least"]).to_numpy()
+    me_keep = ~df.duplicated(["conv_id", "linked"]).to_numpy()
+    la, me = df[la_keep], df[me_keep]
+    la_out = pd.DataFrame({
+        "subj": "conv:" + la["conv_id"] + ":" + la["role"],
+        "pred": "located_at",
+        "obj": "region:" + la["least"].astype(str),
+        "conv_id": la["conv_id"], "turn_idx": la["turn_idx"],
+        "district_key": la["district_key"], "score": la["score"],
+        # located_at precedes mentions within a mention (oracle emission
+        # order), hence the 2i / 2i+1 interleave positions
+        "_pos": pos[la_keep] * 2,
+    })
+    me_out = pd.DataFrame({
+        "subj": "conv:" + me["conv_id"],
+        "pred": "mentions",
+        "obj": np.where(me["linked"].to_numpy() >= 0,
+                        ("addr:" + me["linked"].astype(str)).to_numpy(),
+                        "addr:none"),
+        "conv_id": me["conv_id"], "turn_idx": me["turn_idx"],
+        "district_key": me["district_key"], "score": me["score"],
+        "_pos": pos[me_keep] * 2 + 1,
+    })
+    return (pd.concat([la_out, me_out], ignore_index=True)
+            .sort_values("_pos", kind="stable").drop(columns=["_pos"]))
 
 
 def finalize_route_group(group: pa.Table) -> pa.Table:
-    """One routed bucket -> final triple rows.
+    """One routed bucket, any mix of mention and edge rows -> final triple
+    rows.
 
-    Mention rows expand to their located_at + mentions triples HERE —
-    first-wins dedup runs on the int codes ((conv, role, least) is exactly
-    located_at's (conv, subj, pred, obj) key and (conv, linked) exactly
-    mentions'), in the stable (conv, turn, mention, pred) order the oracle
-    emits; the subj/obj strings are then built vectorized for the survivors
-    only. Edge buckets dedup the int pairs and format the same way. Output
-    equals the oracle's triples (driver kg_triples hash + mode-parity
-    tests)."""
-    import numpy as np
+    Edge rows (``mention_idx == -1``) dedup their int pairs and format
+    them as part_of triples. Mention rows expand to their located_at +
+    mentions triples HERE — first-wins dedup runs on the int codes ((conv,
+    role, least) is exactly located_at's (conv, subj, pred, obj) key and
+    (conv, linked) exactly mentions'), in the stable (conv, turn, mention,
+    pred) order the oracle emits; the subj/obj strings are then built
+    vectorized for the survivors only. Output equals the oracle's triples
+    (driver kg_triples hash + mode-parity tests)."""
     import pandas as pd
 
     df = group.to_pandas()
-    if int(df["route"].iloc[0]) >= 1000:
-        df = df.drop_duplicates(["least", "linked"])
-        out = pd.DataFrame({
-            "subj": "region:" + df["least"].astype(str),
-            "pred": "part_of",
-            "obj": "region:" + df["linked"].astype(str),
-            "conv_id": "", "turn_idx": -1, "district_key": "", "score": 1.0,
-        }).sort_values(["subj", "obj"])
-    else:
-        df = df.sort_values(["conv_id", "turn_idx", "mention_idx"],
-                            kind="stable").reset_index(drop=True)
-        pos = np.arange(len(df), dtype=np.int64)
-        la_keep = ~df.duplicated(["conv_id", "role", "least"]).to_numpy()
-        me_keep = ~df.duplicated(["conv_id", "linked"]).to_numpy()
-        la, me = df[la_keep], df[me_keep]
-        la_out = pd.DataFrame({
-            "subj": "conv:" + la["conv_id"] + ":" + la["role"],
-            "pred": "located_at",
-            "obj": "region:" + la["least"].astype(str),
-            "conv_id": la["conv_id"], "turn_idx": la["turn_idx"],
-            "district_key": la["district_key"], "score": la["score"],
-            # located_at precedes mentions within a mention (oracle emission
-            # order), hence the 2i / 2i+1 interleave positions
-            "_pos": pos[la_keep] * 2,
-        })
-        me_out = pd.DataFrame({
-            "subj": "conv:" + me["conv_id"],
-            "pred": "mentions",
-            "obj": np.where(me["linked"].to_numpy() >= 0,
-                            ("addr:" + me["linked"].astype(str)).to_numpy(),
-                            "addr:none"),
-            "conv_id": me["conv_id"], "turn_idx": me["turn_idx"],
-            "district_key": me["district_key"], "score": me["score"],
-            "_pos": pos[me_keep] * 2 + 1,
-        })
-        out = (pd.concat([la_out, me_out], ignore_index=True)
-               .sort_values("_pos", kind="stable").drop(columns=["_pos"]))
-    out = out[["subj", "pred", "obj", "conv_id", "turn_idx", "district_key", "score"]]
+    is_edge = (df["mention_idx"] == -1).to_numpy()
+    parts = [build(df[mask]) for build, mask in
+             ((_mention_triples, ~is_edge), (_edge_triples, is_edge))
+             if mask.any()]
+    out = pd.concat(parts, ignore_index=True) if len(parts) > 1 else parts[0]
+    out = out[TRIPLE_SCHEMA.names]
     # strip the pandas schema-metadata blob (unhashable in pyarrow 16 —
     # trips Ray's block-schema dedup into per-batch warnings)
     return pa.Table.from_pandas(out, schema=TRIPLE_SCHEMA,

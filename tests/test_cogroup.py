@@ -44,6 +44,46 @@ def test_bucket_of_matches_int_mod_and_crc32():
     assert len(bucket_of(t.slice(0, 0), ["w", "i"], 7)) == 0
 
 
+def test_group_count_follows_row_bound(monkeypatch):
+    """The one sizing function: a 10x row bound keeps the largest group
+    under the budget, a tiny input gets the per-CPU floor, a huge one the
+    cap, and the count comes from parquet footers without executing (or
+    even building) a Dataset."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data._internal.plan import ExecutionPlan
+
+    from address_semantic_search_ray.data.synth import ensure_dataset
+    from address_semantic_search_ray.stages import cogroup as cg
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("sizing touched a Dataset")
+
+    monkeypatch.setattr(rd, "read_parquet", no_dataset)
+    monkeypatch.setattr(ExecutionPlan, "execute", no_dataset)
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", no_dataset)
+
+    path = ensure_dataset(0.001, root="/tmp/asr_synth_test") \
+        + "/transcripts.parquet"
+    convs = pq.read_table(path, columns=["conv_id"]).column("conv_id")
+    base = cg.footer_rows(path)
+    assert base == len(convs) > 0
+    # a budget the 10x input overflows several times over (one conversation
+    # never splits, so the budget must exceed the largest one)
+    monkeypatch.setattr(cg, "GROUP_ROWS_BUDGET", base)
+    ten_x = pa.table({"conv_id": pa.concat_arrays([
+        pc.binary_join_element_wise(
+            convs.combine_chunks(), f"#{i}", "") for i in range(10)])})
+    n = cg.group_count(cg.footer_rows(path) * 10)
+    assert n > 10 * base // cg.GROUP_ROWS_BUDGET
+    sizes = pd.Series(cg.bucket_of(ten_x, "conv_id", n)).value_counts()
+    assert sizes.max() <= cg.GROUP_ROWS_BUDGET
+    floor = cg.GROUPS_PER_CPU * cg._cluster_cpus()
+    assert cg.group_count(0) == cg.group_count(10) == floor
+    assert cg.group_count(10**12) == cg.MAX_GROUPS
+
+
 def test_cogroup_tags_sides_and_types_fold_output(ray_session, monkeypatch):
     import ray.data as rd
 

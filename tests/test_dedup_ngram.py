@@ -79,6 +79,26 @@ def test_dense_path_matches_brute_force(ray_session, skewed_corpus):
     assert got == _brute_force(ids, texts, 0.5)
 
 
+def test_dense_scan_rows_follow_corpus_size(ray_session, skewed_corpus,
+                                            monkeypatch):
+    """The dense scan's block rows follow n_docs under a fixed scratch
+    budget: 512 at sf0.1's 5k docs, fewer at 1M docs; a budget that cuts
+    each batch into 7-row blocks finds the same pairs."""
+    from address_semantic_search_ray.pipelines import queries as q
+
+    budget = q.DENSE_SCAN_SCRATCH_BYTES
+    assert q.dense_scan_rows(5_000, budget) == 512
+    big = q.dense_scan_rows(1_000_000, budget)
+    assert 1 <= big < 512 and big * 1_000_000 * 40 <= budget
+
+    sf_dir, ids, texts = skewed_corpus
+    monkeypatch.setattr(q, "DENSE_SCAN_SCRATCH_BYTES", 40 * len(ids) * 7)
+    assert q.dense_scan_rows(len(ids), q.DENSE_SCAN_SCRATCH_BYTES) == 7
+    docs = q._read(sf_dir, "documents", ["doc_id", "text"])
+    got = _result_set(q._dense_pairs(docs, _char_shingles, 0.5))
+    assert got == _brute_force(ids, texts, 0.5)
+
+
 def test_adaptive_switch_routes_by_df_shape(skewed_corpus):
     """Median df=1 on the skewed corpus -> prefix; the driver's synthetic
     documents (median df ~6% of docs) -> dense."""

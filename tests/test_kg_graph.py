@@ -237,3 +237,76 @@ def test_triangles_shard_invariant(ray_session):
     b = q.kg_cooccur_triangles(SF_SMALL, n_shards=64).to_pandas() \
         .sort_values("node").reset_index(drop=True)
     assert a.equals(b)
+
+
+def _closure_oracles(triples_dir: str) -> dict:
+    """The two recursive-CTE oracles, pointed at ``triples_dir``."""
+    import __ray_entry__ as entry
+
+    sql = entry.oracle_sql()
+    return {name: sql[name].replace(entry.SF001_ORACLE, triples_dir)
+            for name in ("kg_part_of_closure", "kg_located_at_rollup")}
+
+
+def _write_edges(path, edges, located=()):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rows = [(s, "part_of", o) for s, o in edges] + \
+        [("conv:c", "located_at", o) for o in located]
+    pq.write_table(pa.table({"subj": [r[0] for r in rows],
+                             "pred": [r[1] for r in rows],
+                             "obj": [r[2] for r in rows]}),
+                   str(path / "kg_triples.parquet"))
+
+
+def test_closure_oracles_stop_on_cyclic_part_of(tmp_path):
+    """A cyclic part_of table: both CTE oracles terminate at the Ray
+    closure's depth guard (32) and the Ray closure raises its ValueError."""
+    import duckdb
+    import pyarrow as pa
+
+    from address_semantic_search_ray.pipelines.queries import _build_partof_closure
+
+    edges = [("region:a", "region:b"), ("region:b", "region:c"),
+             ("region:c", "region:a")]
+    _write_edges(tmp_path, edges, located=["region:a"])
+    sql = _closure_oracles(str(tmp_path))
+    closure = duckdb.sql(sql["kg_part_of_closure"]).df()
+    assert closure["depth"].max() == 32
+    assert len(closure) == 3 * 32
+    assert len(duckdb.sql(sql["kg_located_at_rollup"]).df()) == 3
+    with pytest.raises(ValueError, match="too deep"):
+        _build_partof_closure(pa.table({"subj": [s for s, _ in edges],
+                                        "obj": [o for _, o in edges]}))
+
+
+def test_closure_oracles_unchanged_on_acyclic_part_of(tmp_path):
+    """On an acyclic table the guard cuts nothing: the guarded CTE equals
+    the unguarded one and the Ray closure, pair for pair and depth for
+    depth, and the rollup equals its unguarded form."""
+    import duckdb
+    import pyarrow as pa
+
+    from address_semantic_search_ray.pipelines.queries import _build_partof_closure
+
+    # a 6-deep chain, a branch, and a child with two parents (smallest wins)
+    edges = [(f"region:{i}", f"region:{i + 1}") for i in range(6)] + \
+        [("region:x", "region:2"), ("region:y", "region:5"),
+         ("region:y", "region:4")]
+    _write_edges(tmp_path, edges, located=["region:0", "region:x", "region:x"])
+    for name, guarded in _closure_oracles(str(tmp_path)).items():
+        unguarded = "\n".join(line for line in guarded.splitlines()
+                              if "WHERE c.depth < 32" not in line)
+        assert unguarded != guarded
+        a, b = (duckdb.sql(q).df() for q in (guarded, unguarded))
+        cols = list(a.columns)
+        pd.testing.assert_frame_equal(
+            a.sort_values(cols).reset_index(drop=True),
+            b.sort_values(cols).reset_index(drop=True))
+        if name == "kg_part_of_closure":
+            ray_side = _build_partof_closure(pa.table({
+                "subj": [s for s, _ in edges],
+                "obj": [o for _, o in edges]})).to_pandas()
+            assert sorted(map(tuple, a[cols].values.tolist())) == \
+                sorted(map(tuple, ray_side[cols].values.tolist()))

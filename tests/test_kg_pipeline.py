@@ -8,6 +8,7 @@ ordering, dedup. Also covers resume-from-checkpoint semantics.
 from __future__ import annotations
 
 import gc
+import glob
 import shutil
 
 import pyarrow.compute as pc
@@ -153,14 +154,16 @@ def test_resume_reruns_after_code_change(ray_session, tiny_data, tmp_path, monke
 
 def test_triples_invariant_under_bucket_counts(tiny_data, monkeypatch,
                                                restore_gc):
-    """Both modes route link rows with ``route_link_rows`` and finalize each
-    route group with ``finalize_route_group``, so this in-process check (no
-    Ray) pins for both that the conv and edge bucket counts never change the
-    triples: every setting gives the same rows, equal to the oracle's."""
+    """Both modes route link rows with ``route_link_rows`` into one bucket
+    space sized by ``cogroup.group_count`` and finalize each route group
+    with ``finalize_route_group``, so this in-process check (no Ray) pins
+    for both that the count never changes the triples: counts 1, 7 and the
+    default (forced through the one ``N_COGROUP_BUCKETS`` hook) give the
+    same rows, equal to the oracle's, with every route in ``[0, n)``."""
     import pyarrow as pa
 
     from address_semantic_search_ray.pipelines import kg
-    from address_semantic_search_ray.stages import fused
+    from address_semantic_search_ray.stages import cogroup, fused
     from address_semantic_search_ray.stages.interpret import region_state_bytes
 
     region = region_state_bytes(kg.default_region_dict_path())
@@ -169,28 +172,96 @@ def test_triples_invariant_under_bucket_counts(tiny_data, monkeypatch,
     stage = fused.MentionLinkTriplesStage(region, payload, 1)
     transcripts = pq.read_table(tiny_data + "/transcripts.parquet",
                                 columns=["conv_id", "turn_idx", "role", "text"])
-    batches = [pa.Table.from_batches([b])
-               for b in transcripts.to_batches(max_chunksize=256)]
-    assert len(batches) > 1  # edges repeat across batches
+    linked = [stage._link_rows(pa.Table.from_batches([b]))
+              for b in transcripts.to_batches(max_chunksize=256)]
+    assert len(linked) > 1  # edges repeat across batches
+    bound = cogroup.footer_rows(tiny_data + "/transcripts.parquet")
 
     runs = []
-    for n_conv, n_edge in ((1, 1), (7, 3), (256, 64)):
-        monkeypatch.setattr(fused, "_N_CONV_BUCKETS", n_conv)
-        monkeypatch.setattr(fused, "_N_EDGE_BUCKETS", n_edge)
-        routed = pa.concat_tables([stage(b) for b in batches])
+    for forced in (1, 7, None):
+        monkeypatch.setattr(cogroup, "N_COGROUP_BUCKETS", forced)
+        n = cogroup.group_count(bound)
+        assert n == (forced or cogroup.group_count(0))
+        routed = pa.concat_tables([fused.route_link_rows(rows, n)
+                                   for rows in linked])
         routes = set(routed.column("route").to_pylist())
-        assert {r for r in routes if r < 1000} <= set(range(n_conv))
-        assert {r for r in routes if r >= 1000} <= set(range(1000, 1000 + n_edge))
-        triples = pa.concat_tables([
-            fused.finalize_route_group(
-                routed.filter(pc.equal(routed.column("route"), r)))
-            for r in sorted(routes)])
-        runs.append(sorted(zip(*[triples.column(n).to_pylist()
-                                 for n in triples.column_names])))
+        assert routes <= set(range(n))
+        groups = [routed.filter(pc.equal(routed.column("route"), r))
+                  for r in sorted(routes)]
+        # every group mixes both kinds once the space is shared
+        if n == 1:
+            kinds = set(groups[0].column("mention_idx").to_pylist())
+            assert -1 in kinds and len(kinds) > 1
+        triples = pa.concat_tables([fused.finalize_route_group(g)
+                                    for g in groups])
+        runs.append(sorted(zip(*[triples.column(c).to_pylist()
+                                 for c in triples.column_names])))
         run_set = _triple_set(triples)
     assert runs[0] == runs[1] == runs[2]
     assert len(runs[0]) == len(run_set)  # finalize left no duplicate row
     assert run_set == _triple_set(run_oracle(tiny_data))
+
+
+def test_mixed_route_group_finalizes_both_kinds():
+    """One group holding mention rows and edge rows, as the shared bucket
+    space makes them: edges (``mention_idx`` -1) dedup to part_of triples,
+    mentions dedup per conversation in the oracle's order."""
+    from address_semantic_search_ray.stages import fused
+
+    rows = {
+        "conv_id": ["c1", "c1", "c1", "c2"],
+        "turn_idx": [0, 0, 1, 0],
+        "mention_idx": [0, 1, 0, 0],
+        "role": ["user", "user", "user", "agent"],
+        "district_key": ["d1", "d1", "d1", "d2"],
+        "least_region_id": [10, 10, 11, 20],
+        "linked_addr": [5, 5, -1, 7],
+        "score": [0.9, 0.8, 0.0, 0.7],
+        "region_chain": [[10, 2, 1], [10, 2, 1], [11, 2, 1], [20, 3]],
+    }
+    routed = fused.route_link_rows(rows, 1)
+    got = fused.finalize_route_group(routed)
+    assert got.schema == fused.TRIPLE_SCHEMA
+    triples = list(zip(got.column("subj").to_pylist(),
+                       got.column("pred").to_pylist(),
+                       got.column("obj").to_pylist(),
+                       got.column("turn_idx").to_pylist()))
+    assert triples == [
+        ("conv:c1:user", "located_at", "region:10", 0),
+        ("conv:c1", "mentions", "addr:5", 0),
+        ("conv:c1:user", "located_at", "region:11", 1),
+        ("conv:c1", "mentions", "addr:none", 1),
+        ("conv:c2:agent", "located_at", "region:20", 0),
+        ("conv:c2", "mentions", "addr:7", 0),
+        ("region:10", "part_of", "region:2", -1),
+        ("region:11", "part_of", "region:2", -1),
+        ("region:2", "part_of", "region:1", -1),
+        ("region:20", "part_of", "region:3", -1),
+    ]
+
+
+def test_both_modes_match_oracle_at_forced_counts(ray_session, tiny_data,
+                                                  tmp_path, monkeypatch):
+    """The count hook reaches both Ray plans: at 1 and 7 route groups the
+    streaming and the checkpointed mode each emit the oracle's triples."""
+    from address_semantic_search_ray.pipelines import kg
+    from address_semantic_search_ray.stages import cogroup
+
+    want = _triple_set(run_oracle(tiny_data))
+    work = str(tmp_path / "work")
+    for n in (1, 7):
+        monkeypatch.setattr(cogroup, "N_COGROUP_BUCKETS", n)
+        res = kg.run_kg_streaming(tiny_data, str(tmp_path / f"stream{n}"),
+                                  concurrency=2)
+        if n == 1:  # one group: one finalize call wrote every triple
+            files = glob.glob(res["triples"] + "/*.parquet")
+            assert sum(pq.read_metadata(f).num_rows > 0 for f in files) == 1
+        assert _triple_set(pq.read_table(res["triples"])) == want
+        res = kg.run_kg_pipeline(tiny_data, work, concurrency=2)
+        assert not [m for m in res["metrics"]
+                    if m["stage"] == "triples"][0]["skipped"]
+        assert _triple_set(pq.read_table(res["triples"])) == want
+        shutil.rmtree(res["triples"])  # the next count reruns triples only
 
 
 def test_every_region_stage_sweeps_gc(monkeypatch):
