@@ -23,9 +23,11 @@ streaming job with no mid-pipeline disk:
     read_parquet(transcripts) -> map_batches(MentionLinkTriplesStage, actor pool)
                               -> groupby(route).map_groups(finalize_route_group)
                               -> triples/ Parquet
-                                 (route count: group_count(transcript rows))
-An index estimated above ``BROADCAST_INDEX_MAX_BYTES`` falls back to the
-checkpointed mode.
+                                 (route count: group_count(transcript rows);
+                                  read blocks: stream_read_blocks(same))
+The job collects the driver's cyclic garbage before it returns, so its
+fused actors exit with it. An index estimated above
+``BROADCAST_INDEX_MAX_BYTES`` falls back to the checkpointed mode.
 
 ``build_index_ref`` is the one index-build router of every linking entry
 point (this mode, ``extras.regression_accuracy``, ``extras.links_explain``):
@@ -54,6 +56,7 @@ Must NOT call ray.init(): the driver/bench owns the session.
 
 from __future__ import annotations
 
+import gc
 import os
 
 import ray
@@ -207,6 +210,19 @@ BROADCAST_INDEX_MAX_BYTES = 4 << 30
 # transcript read blocks per fused actor: enough tasks for the pool to
 # load-balance, few enough that per-task overhead stays small
 STREAM_BLOCKS_PER_ACTOR = 6
+# turns one read block should hold before the pool gets more blocks than
+# actors: each block is one fused task, one sort map and reduce task, one
+# finalize task and one output file, so a small input pays those once per
+# actor instead of STREAM_BLOCKS_PER_ACTOR times
+STREAM_BLOCK_ROWS = 16_384
+
+
+def stream_read_blocks(rows: int, concurrency: int) -> int:
+    """Transcript read blocks of ``run_kg_streaming`` over ~``rows`` turns:
+    one per ``STREAM_BLOCK_ROWS``, at least one per actor, at most
+    ``STREAM_BLOCKS_PER_ACTOR`` per actor."""
+    return min(concurrency * STREAM_BLOCKS_PER_ACTOR,
+               max(concurrency, -(-rows // STREAM_BLOCK_ROWS)))
 
 
 def estimate_index_bytes(addresses_path: str) -> int:
@@ -459,14 +475,14 @@ def run_kg_streaming(
         return result
     index_ref = build_index_ref(addresses_path, region_ref, concurrency, batch_size)
 
+    n_turns = footer_rows(transcripts_path)
     triples_ds = (
         rd.read_parquet(transcripts_path,
                         columns=["conv_id", "turn_idx", "role", "text"],
-                        override_num_blocks=concurrency * STREAM_BLOCKS_PER_ACTOR)
+                        override_num_blocks=stream_read_blocks(n_turns, concurrency))
         .map_batches(
             MentionLinkTriplesStage,
-            fn_constructor_args=(region_ref, index_ref, top_n,
-                                 group_count(footer_rows(transcripts_path))),
+            fn_constructor_args=(region_ref, index_ref, top_n, group_count(n_turns)),
             batch_format="pyarrow",
             batch_size=batch_size,
             concurrency=concurrency,
@@ -488,4 +504,12 @@ def run_kg_streaming(
     if os.environ.get("ASR_STREAM_STATS") == "1":
         # per-stage wall/cpu/row audit of the executed plan (BASELINE.md)
         result["stats"] = triples_ds.stats()
+    # Ray Data releases a finished pool's actors by dropping their handles,
+    # and Ray's ActorMethod objects keep those handles in reference cycles:
+    # without a collection the fused actors (a CPU and ~270 MB each) outlive
+    # the job until the driver's next full gc, at a different point of
+    # whatever the caller runs next each time. Collect here so they exit
+    # with the job.
+    del triples_ds
+    gc.collect()
     return result

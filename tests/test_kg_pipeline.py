@@ -385,6 +385,63 @@ def test_streaming_mode_matches_checkpointed(ray_session, tiny_data, tmp_path_fa
     assert _triple_set(a) == _triple_set(b)
 
 
+def test_stream_read_blocks_follow_input_rows():
+    """A small input reads one block per actor, so the sort and finalize
+    behind the fused stage run one task each instead of six; a large one
+    keeps STREAM_BLOCKS_PER_ACTOR blocks per actor to balance the pool."""
+    from address_semantic_search_ray.pipelines.kg import (
+        STREAM_BLOCK_ROWS, STREAM_BLOCKS_PER_ACTOR, stream_read_blocks,
+    )
+
+    assert stream_read_blocks(0, 1) == 1
+    assert stream_read_blocks(10_000, 1) == 1
+    assert stream_read_blocks(10_000, 4) == 4
+    assert stream_read_blocks(3 * STREAM_BLOCK_ROWS, 1) == 3
+    assert stream_read_blocks(10**12, 4) == 4 * STREAM_BLOCKS_PER_ACTOR
+
+
+_STREAM_RELEASE_SCRIPT = """
+import json, sys, time
+import ray
+ray.init(address="local", num_cpus=4, include_dashboard=False,
+         logging_level="ERROR")
+from address_semantic_search_ray.pipelines.kg import run_kg_streaming
+total = ray.cluster_resources()["CPU"]
+held = []
+for i in range(3):
+    run_kg_streaming(sys.argv[1], sys.argv[2] + str(i), concurrency=2)
+    deadline = time.time() + 5
+    while ray.available_resources().get("CPU", 0) < total \\
+            and time.time() < deadline:
+        time.sleep(0.2)
+    held.append(total - ray.available_resources().get("CPU", 0))
+ray.shutdown()
+print(json.dumps(held))
+"""
+
+
+def test_streaming_job_releases_its_actors(tiny_data, tmp_path):
+    """The fused actors exit with the streaming job: in a fresh Ray session
+    (its own process, so no earlier test's pools count), every CPU is free
+    within 5 s of each of three ``run_kg_streaming`` returns, with no
+    ``gc.collect()`` in the caller (without the job's own collection, the
+    first job's actors went and the later jobs' held a CPU past 10 s). Ray Data drops a finished pool's actor handles inside
+    reference cycles, so without the job's own collection the actors hold
+    their CPUs until the caller's next full gc."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _STREAM_RELEASE_SCRIPT, tiny_data,
+         str(tmp_path / "stream")],
+        cwd=repo, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, 0, 0]
+
+
 def test_streaming_distributed_corpus_path_matches(ray_session, tiny_data, tmp_path_factory,
                                                    pipeline_result, monkeypatch):
     """The big-corpus branch (distributed interpret + sharded per-bucket
