@@ -18,16 +18,19 @@ Two modes, byte-identical triples:
 ``run_kg_streaming`` (broadcast-index — when the corpus index fits in worker
 memory, the common case against a 10^12-turn transcript table): the corpus
 index is a zero-copy numpy index in plasma (kernel/npindex.py — ONE copy
-per node, not per actor) built by ``build_index_ref``; then ONE fused
+per node, not per task) built by ``build_index_ref``; then ONE fused
 streaming job with no mid-pipeline disk:
-    read_parquet(transcripts) -> map_batches(MentionLinkTriplesStage, actor pool)
+    read_parquet(transcripts) -> map_batches(MentionLinkTriplesStageTask,
+                                             task pool, one call per block)
                               -> groupby(route).map_groups(finalize_route_group)
                               -> triples/ Parquet
                                  (route count: group_count(transcript rows);
                                   read blocks: stream_read_blocks(same))
-The job collects the driver's cyclic garbage before it returns, so its
-fused actors exit with it. An index estimated above
-``BROADCAST_INDEX_MAX_BYTES`` falls back to the checkpointed mode.
+The fused stage has no actor pool: each task builds the stage state for
+its read block with gc paused and drops it at the block's end, so the job
+starts no process of its own and a pooled worker keeps no state after it.
+An index estimated above ``BROADCAST_INDEX_MAX_BYTES`` falls back to the
+checkpointed mode.
 
 ``build_index_ref`` is the one index-build router of every linking entry
 point (this mode, ``extras.regression_accuracy``, ``extras.links_explain``):
@@ -56,7 +59,6 @@ Must NOT call ray.init(): the driver/bench owns the session.
 
 from __future__ import annotations
 
-import gc
 import os
 
 import ray
@@ -65,10 +67,12 @@ import ray.data as rd
 from ..kernel.npindex import N_DISTRICT_BUCKETS
 from ..stages.cogroup import footer_rows, group_count
 from ..stages.fused import (
-    MentionLinkTriplesStage, finalize_route_group, route_link_batch,
+    MentionLinkTriplesStageTask, finalize_route_group, route_link_batch,
 )
 from ..stages.idf import build_idf
-from ..stages.interpret import CorpusInterpretStage, MentionStage, put_region_table
+from ..stages.interpret import (
+    CorpusInterpretStage, MentionStage, paused_gc, put_region_table,
+)
 from ..stages.link import LinkerActor
 from ..state.checkpoint import StageRunner, code_salt, fingerprint_paths
 from .oracle import default_region_dict_path
@@ -200,27 +204,28 @@ def run_kg_pipeline(
 # Mode thresholds are byte budgets, not row counts (round-2 verdict #7):
 # the flat index measures ~4.0x the corpus text's uncompressed bytes + ~70 B
 # per row (calibrated at sf0.01/sf0.1, both within 1%). The single-task
-# overlapped build is bounded by what one worker can interpret during the
-# actor-pool ramp (~15 MB of index == ~40k rows); the sharded broadcast
+# overlapped build is bounded by what one worker can interpret while the
+# fused tasks start (~15 MB of index == ~40k rows); the sharded broadcast
 # build is bounded by what fits in a node's object store alongside blocks
 # in flight — beyond that the checkpointed pipeline (bucket LRU, disk-backed)
 # is the only honest mode.
 SMALL_INDEX_OVERLAP_MAX_BYTES = 16 << 20
 BROADCAST_INDEX_MAX_BYTES = 4 << 30
-# transcript read blocks per fused actor: enough tasks for the pool to
+# transcript read blocks per fused task slot: enough tasks for the pool to
 # load-balance, few enough that per-task overhead stays small
 STREAM_BLOCKS_PER_ACTOR = 6
 # turns one read block should hold before the pool gets more blocks than
-# actors: each block is one fused task, one sort map and reduce task, one
-# finalize task and one output file, so a small input pays those once per
-# actor instead of STREAM_BLOCKS_PER_ACTOR times
+# task slots: each block is one fused task (with one stage-state load, and
+# turn and link memos that span only that block), one sort map and reduce
+# task, one finalize task and one output file, so a small input pays those
+# once per slot instead of STREAM_BLOCKS_PER_ACTOR times
 STREAM_BLOCK_ROWS = 16_384
 
 
 def stream_read_blocks(rows: int, concurrency: int) -> int:
     """Transcript read blocks of ``run_kg_streaming`` over ~``rows`` turns:
-    one per ``STREAM_BLOCK_ROWS``, at least one per actor, at most
-    ``STREAM_BLOCKS_PER_ACTOR`` per actor."""
+    one per ``STREAM_BLOCK_ROWS``, at least one per fused task slot, at most
+    ``STREAM_BLOCKS_PER_ACTOR`` per slot."""
     return min(concurrency * STREAM_BLOCKS_PER_ACTOR,
                max(concurrency, -(-rows // STREAM_BLOCK_ROWS)))
 
@@ -323,17 +328,21 @@ def _build_small_corpus_index_impl(addresses_path: str, region_ref):
         try:
             if _owned_by_me(os.path.dirname(cache_path)) \
                     and _owned_by_me(cache_path):
-                with open(cache_path, "rb") as f:
+                with open(cache_path, "rb") as f, paused_gc():
                     return pickle.loads(f.read())
         except OSError:
             pass
 
-    stage = CorpusInterpretStage(region_ref)
-    tbl = pq.read_table(addresses_path, columns=["addr_id", "text"])
-    corpus_tbl = stage(tbl)
-    idf_tbl = driver_idf(corpus_tbl)
-    payload = NpCorpusIndex.from_tables(
-        corpus_tbl.drop_columns(["term_keys"]), idf_tbl).to_payload()
+    # a task (or in-process caller), not an actor: the stage does not
+    # freeze, and the pause ends with the build
+    with paused_gc():
+        stage = CorpusInterpretStage(region_ref)
+        tbl = pq.read_table(addresses_path, columns=["addr_id", "text"])
+        corpus_tbl = stage(tbl)
+        del stage
+        idf_tbl = driver_idf(corpus_tbl)
+        payload = NpCorpusIndex.from_tables(
+            corpus_tbl.drop_columns(["term_keys"]), idf_tbl).to_payload()
     if cache_path is not None:
         try:
             cache_dir = os.path.dirname(cache_path)
@@ -365,8 +374,8 @@ def _build_bucket_payload_impl(*parts):
     """Reduce side: concat this bucket's slices (block order == the global
     interpreted row order, so per-district doc order matches a single-task
     build), finalize the bucket's per-district IDF, build the flat index.
-    The returned payload dict of numpy arrays lands in plasma; every actor's
-    ``ray.get`` maps it zero-copy."""
+    The returned payload dict of numpy arrays lands in plasma; every
+    consumer's ``ray.get`` maps it zero-copy."""
     import pyarrow as pa
 
     from ..kernel.npindex import NpCorpusIndex
@@ -409,10 +418,10 @@ def build_index_ref(addresses_path: str, region_ref, concurrency: int,
     oracle checks (districts never span buckets).
 
     Small corpus: ONE Ray task builds the whole index and its ObjectRef is
-    returned at once, so the caller hands it to its actor pool while the
-    corpus interprets — the actors unpickle their trie and the transcript
-    read starts instead of paying corpus-build + ramp back to back (~5 s of
-    fixed latency at every cluster size). Big corpus: distributed interpret
+    returned at once, so the caller hands it to its stage while the corpus
+    interprets — the fused tasks unpickle their trie and the transcript read
+    starts instead of paying corpus-build + ramp back to back (~5 s of fixed
+    latency at every cluster size). Big corpus: distributed interpret
     -> per-bucket sharded build (``build_sharded_index_refs``); the corpus
     never funnels through the driver."""
     if estimate_index_bytes(addresses_path) <= SMALL_INDEX_OVERLAP_MAX_BYTES:
@@ -445,9 +454,10 @@ def run_kg_streaming(
 ) -> dict:
     """Broadcast-index mode: ONE streaming pass over the transcripts.
 
-    The corpus index (doc vectors + idf, built distributed) is ``ray.put``
-    and joined map-side inside a fused mention+link actor stage — no sort,
-    no co-partition shuffle, no mid-pipeline disk. Use when the corpus index
+    The corpus index (doc vectors + idf) is ``ray.put`` and joined map-side
+    inside a fused mention+link task stage (at most ``concurrency`` tasks
+    at once, one per read block, ``batch_size``-row slices inside it) — no
+    sort, no co-partition shuffle, no mid-pipeline disk. Use when the corpus index
     fits in worker memory (the common case: the corpus is tiny next to a
     10^12-turn transcript table); ``run_kg_pipeline`` is the
     checkpointed/partitioned path for when it does not. Both modes emit
@@ -459,7 +469,7 @@ def run_kg_streaming(
 
     region_ref = put_region_table(region_dict_path)
 
-    # corpus index in plasma, zero-copy views in every actor — never
+    # corpus index in plasma, zero-copy views in every task — never
     # replicated per process (``build_index_ref``); an index too big to
     # broadcast routes to the checkpointed pipeline instead
     if estimate_index_bytes(addresses_path) > BROADCAST_INDEX_MAX_BYTES:
@@ -481,10 +491,10 @@ def run_kg_streaming(
                         columns=["conv_id", "turn_idx", "role", "text"],
                         override_num_blocks=stream_read_blocks(n_turns, concurrency))
         .map_batches(
-            MentionLinkTriplesStage,
-            fn_constructor_args=(region_ref, index_ref, top_n, group_count(n_turns)),
+            MentionLinkTriplesStageTask(region_ref, index_ref, top_n,
+                                        group_count(n_turns), batch_size),
             batch_format="pyarrow",
-            batch_size=batch_size,
+            batch_size=None,  # one call per read block: one state load each
             concurrency=concurrency,
         )
         .groupby("route")
@@ -504,12 +514,4 @@ def run_kg_streaming(
     if os.environ.get("ASR_STREAM_STATS") == "1":
         # per-stage wall/cpu/row audit of the executed plan (BASELINE.md)
         result["stats"] = triples_ds.stats()
-    # Ray Data releases a finished pool's actors by dropping their handles,
-    # and Ray's ActorMethod objects keep those handles in reference cycles:
-    # without a collection the fused actors (a CPU and ~270 MB each) outlive
-    # the job until the driver's next full gc, at a different point of
-    # whatever the caller runs next each time. Collect here so they exit
-    # with the job.
-    del triples_ds
-    gc.collect()
     return result

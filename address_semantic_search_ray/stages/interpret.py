@@ -1,17 +1,24 @@
-"""Actor-pool interpretation stages (stateful ``map_batches`` UDFs).
+"""Interpretation stages (stateful ``map_batches`` UDFs).
 
 Design (SURVEY.md §2.3/§7): the region dictionary (~48k rows, ~1 MB Arrow) is
-``ray.put`` ONCE on the driver; every actor fetches it in ``__init__`` (one
-object-store read per actor, never re-shipped per batch) and builds its own
-trie + visitor — replicated read-only state, mirroring the reference's
-one-visitor-per-thread rule (RegionInterpreterVisitor.java:52-56).
+``ray.put`` ONCE on the driver as the pickled (region dict, trie) pair; every
+stage unpickles it in ``__init__`` (one object-store read per stage, never
+re-shipped per batch) — replicated read-only state, mirroring the
+reference's one-visitor-per-thread rule (RegionInterpreterVisitor.java:52-56).
+
+A stage lives either in an actor (actor-pool ``map_batches``; it then
+freezes its state and turns the collector off for the actor's life, see
+``_freeze_state``) or for one task or in-process call (the streaming fused
+stage, the single-task index build). The latter build and run it inside
+``paused_gc()``, which gives the collector back when the work ends.
 
 Batches are ``pyarrow`` in / ``pyarrow`` out (zero-copy from the object
-store); the per-row trie walk is pure CPU inside the actor.
+store); the per-row trie walk is pure CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 
 import pyarrow as pa
@@ -19,6 +26,31 @@ import pyarrow as pa
 from ..kernel.interpreter import Interpreter
 from ..kernel.mentions import QUERY_COLUMNS, find_mentions, query_key
 from ..kernel.regions import RegionDict
+
+
+@contextlib.contextmanager
+def paused_gc():
+    """Cyclic gc off for the block, restored (never frozen) on exit. Bulk
+    object builds and loads (the trie pickle, a stage's state, an index
+    payload) allocate millions of acyclic objects, and the collections they
+    trigger walk all of them: unpickling the region state takes ~0.5 s with
+    gc on and ~0.2 s with it off. Nesting is safe: an inner pause finds gc
+    off and leaves it off."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _in_actor() -> bool:
+    """True inside a Ray actor process (an actor-pool stage)."""
+    import ray
+
+    return ray.is_initialized() \
+        and ray.get_runtime_context().get_actor_id() is not None
 
 
 def region_state_bytes(region_dict_path: str) -> bytes:
@@ -64,9 +96,10 @@ def region_state_bytes(region_dict_path: str) -> bytes:
     from ..kernel.interpreter import Interpreter
     from ..kernel.regions import RegionDict
 
-    regions = RegionDict.from_parquet(region_dict_path)
-    trie = Interpreter(regions).trie
-    payload = pickle.dumps((regions, trie), protocol=5)
+    with paused_gc():
+        regions = RegionDict.from_parquet(region_dict_path)
+        trie = Interpreter(regions).trie
+        payload = pickle.dumps((regions, trie), protocol=5)
     try:
         os.makedirs(cache_dir, mode=0o700, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir)
@@ -89,9 +122,9 @@ def put_region_table(region_dict_path: str):
 
 
 class _RegionStateMixin:
-    """Replicated read-only region state of an actor-pool stage. A stage
-    implements ``process(batch)``; the mixin owns ``__call__``, which runs
-    the periodic gc sweep before every batch, so no stage can skip it."""
+    """Replicated read-only region state of a stage. A stage implements
+    ``process(batch)``; the mixin owns ``__call__``, which runs the periodic
+    gc sweep before every batch, so no stage can skip it."""
 
     _GC_EVERY = 512  # batches (~1M rows) between explicit cycle sweeps
     _gc_tick = 0
@@ -113,7 +146,8 @@ class _RegionStateMixin:
         import ray
 
         payload = ray.get(region_ref) if not isinstance(region_ref, bytes) else region_ref
-        self.regions, trie = pickle.loads(payload)
+        with paused_gc():
+            self.regions, trie = pickle.loads(payload)
         self.interpreter = Interpreter(self.regions, trie=trie)
 
     def _init_prefilter(self):
@@ -135,14 +169,21 @@ class _RegionStateMixin:
         return batch
 
     def _freeze_state(self):
-        """Move the (large, immutable) per-actor state out of GC's reach and
-        stop cyclic GC in the hot loop. Freeze alone still leaves periodic
-        young-gen collections whose heap walks contend badly under a full
-        actor pool (A/B at 28 processes: +25% throughput with GC off). The
-        hot loop allocates mostly acyclic objects that refcounting frees
-        immediately; the rare cycle (pandas frames, caught-exception
-        tracebacks) is reclaimed by the sweep in ``__call__``, so sustained
-        runs stay memory-bounded."""
+        """In an actor, move the (large, immutable) per-actor state out of
+        GC's reach and stop cyclic GC in the hot loop. Freeze alone still
+        leaves periodic young-gen collections whose heap walks contend
+        badly under a full actor pool (A/B at 28 processes: +25% throughput
+        with GC off). The hot loop allocates mostly acyclic objects that
+        refcounting frees immediately; the rare cycle (pandas frames,
+        caught-exception tracebacks) is reclaimed by the sweep in
+        ``__call__``, so sustained runs stay memory-bounded.
+
+        Anywhere else (a task, a driver, a test) this is a no-op: the
+        process outlives the stage, and a freeze or a disabled collector
+        would stay behind for whatever it runs next. Such callers pause gc
+        around the stage's life with ``paused_gc()`` instead."""
+        if not _in_actor():
+            return
         gc.collect()
         gc.freeze()
         gc.disable()

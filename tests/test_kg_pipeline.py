@@ -24,15 +24,6 @@ def tiny_data():
     return ensure_dataset(0.001, root="/tmp/asr_synth_test")
 
 
-@pytest.fixture
-def restore_gc():
-    """In-process stages freeze and disable this process's gc (their
-    actors' hot-loop setting); give it back after the test."""
-    yield
-    gc.unfreeze()
-    gc.enable()
-
-
 def _triple_set(table):
     return set(zip(
         table.column("subj").to_pylist(),
@@ -152,8 +143,7 @@ def test_resume_reruns_after_code_change(ray_session, tiny_data, tmp_path, monke
     assert not any(m["skipped"] for m in changed["metrics"])
 
 
-def test_triples_invariant_under_bucket_counts(tiny_data, monkeypatch,
-                                               restore_gc):
+def test_triples_invariant_under_bucket_counts(tiny_data, monkeypatch):
     """Both modes route link rows with ``route_link_rows`` into one bucket
     space sized by ``cogroup.group_count`` and finalize each route group
     with ``finalize_route_group``, so this in-process check (no Ray) pins
@@ -265,7 +255,7 @@ def test_both_modes_match_oracle_at_forced_counts(ray_session, tiny_data,
 
 
 def test_every_region_stage_sweeps_gc(monkeypatch):
-    """``_freeze_state`` turns automatic gc off, so every
+    """In an actor ``_freeze_state`` turns automatic gc off, so every
     ``_RegionStateMixin`` stage must sweep within ``_GC_EVERY`` batches.
     The mixin owns ``__call__`` and the stages only define ``process``, so
     none can skip the sweep."""
@@ -327,8 +317,7 @@ def test_index_cache_key_salts_every_package_module(tmp_path, monkeypatch):
     assert len(set(keys.values())) == 3, keys
 
 
-def test_links_invariant_under_memo_cap(tiny_data, pipeline_result, monkeypatch,
-                                        restore_gc):
+def test_links_invariant_under_memo_cap(tiny_data, pipeline_result, monkeypatch):
     """Every linker's memo only saves recomputation: with the link-memo cap
     at 1 (cleared on nearly every miss) the fused stage routes the same rows
     as at the default cap, and ``LinkerActor`` links the ``mentions/``
@@ -400,6 +389,55 @@ def test_stream_read_blocks_follow_input_rows():
     assert stream_read_blocks(10**12, 4) == 4 * STREAM_BLOCKS_PER_ACTOR
 
 
+def test_streaming_triples_invariant_under_block_layout(ray_session, tiny_data,
+                                                        tmp_path, monkeypatch):
+    """The fused stage's turn and link memos span one read block, so the
+    triples must not depend on how the transcripts split into blocks: with
+    blocks of a few hundred turns (several per task slot) the streaming job
+    at 1 and 3 fused tasks emits the oracle's triples."""
+    from address_semantic_search_ray.pipelines import kg
+
+    n_turns = kg.footer_rows(tiny_data + "/transcripts.parquet")
+    monkeypatch.setattr(kg, "STREAM_BLOCK_ROWS", 300)
+    want = _triple_set(run_oracle(tiny_data))
+    for conc in (1, 3):
+        assert kg.stream_read_blocks(n_turns, conc) > conc
+        res = kg.run_kg_streaming(tiny_data, str(tmp_path / f"c{conc}"),
+                                  concurrency=conc)
+        assert _triple_set(pq.read_table(res["triples"])) == want
+
+
+def test_task_scoped_stages_leave_gc_as_found(tiny_data, monkeypatch):
+    """Outside an actor no stage freezes or disables the collector for
+    good: the single-task index build (cache off, so it builds) and the
+    streaming fused task body each leave ``gc.isenabled()`` and the freeze
+    count as they found them, whether gc was on or off."""
+    import pyarrow as pa
+
+    from address_semantic_search_ray.pipelines import kg
+    from address_semantic_search_ray.stages import fused
+    from address_semantic_search_ray.stages.interpret import region_state_bytes
+
+    monkeypatch.setenv("ASR_INDEX_CACHE", "off")
+    region = region_state_bytes(kg.default_region_dict_path())
+    transcripts = pq.read_table(tiny_data + "/transcripts.parquet",
+                                columns=["conv_id", "turn_idx", "role", "text"])
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        found = (enabled, gc.get_freeze_count())
+        try:
+            payload = kg._build_small_corpus_index_impl(
+                tiny_data + "/addresses.parquet", region)
+            assert (gc.isenabled(), gc.get_freeze_count()) == found
+            task = fused.MentionLinkTriplesStageTask(region, payload, 1, 4, 256)
+            routed = pa.concat_tables(task(transcripts))
+            assert (gc.isenabled(), gc.get_freeze_count()) == found
+        finally:
+            gc.enable()
+    assert routed.num_rows > 0
+    assert set(routed.column("route").to_pylist()) <= set(range(4))
+
+
 _STREAM_RELEASE_SCRIPT = """
 import json, sys, time
 import ray
@@ -421,13 +459,13 @@ print(json.dumps(held))
 
 
 def test_streaming_job_releases_its_actors(tiny_data, tmp_path):
-    """The fused actors exit with the streaming job: in a fresh Ray session
-    (its own process, so no earlier test's pools count), every CPU is free
-    within 5 s of each of three ``run_kg_streaming`` returns, with no
-    ``gc.collect()`` in the caller (without the job's own collection, the
-    first job's actors went and the later jobs' held a CPU past 10 s). Ray Data drops a finished pool's actor handles inside
-    reference cycles, so without the job's own collection the actors hold
-    their CPUs until the caller's next full gc."""
+    """The streaming job holds no CPU after it returns: in a fresh Ray
+    session (its own process, so no earlier test's pools count), every CPU
+    is free within 5 s of each of three ``run_kg_streaming`` returns, with
+    no ``gc.collect()`` in the caller or the job. The fused stage runs as
+    tasks, so the job starts no actor; an actor pool would hold its CPUs
+    until a full gc, since Ray Data drops a finished pool's actor handles
+    inside reference cycles."""
     import json
     import os
     import subprocess
