@@ -8,6 +8,10 @@
 - E5 (``misc/RegressionTestRunTest.java:73-184``): labeled 7-field CSV ->
   interpret -> top-1 link -> compare grid_id -> accuracy buckets split at
   similarity 0.85 (hs/hf/ls/lf/zero, A5).
+- Explain-mode linking (``links_explain``) over the mentions checkpoint.
+
+Each stage is a task pool, one stage build per read block
+(``stages/interpret.py:per_block``), like the KG stages.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import ray.data as rd
 
 from ..kernel.mentions import QUERY_COLUMNS, query_key
 from ..stages.fused import resolve_index
-from ..stages.interpret import _RegionStateMixin
+from ..stages.interpret import _RegionStateMixin, per_block
 from ..stages.link import LinkMemo, query_rows, top1_link_memo
 from .kg import build_index_ref
 
@@ -33,9 +37,8 @@ class TownMineStage(_RegionStateMixin):
 
     def __init__(self, region_ref):
         self._init_interpreter(region_ref)
-        self._freeze_state()
 
-    def process(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         it = self.interpreter
         dist_out, town_out = [], []
         for text in batch.column("text").to_pylist():
@@ -61,8 +64,8 @@ def mine_towns(texts_ds, region_ref, concurrency: int = 4):
     import pandas as pd
 
     cands = texts_ds.map_batches(
-        TownMineStage, fn_constructor_args=(region_ref,),
-        batch_format="pyarrow", batch_size=2048, concurrency=concurrency,
+        per_block(TownMineStage, region_ref, batch_size=2048),
+        batch_format="pyarrow", batch_size=None, concurrency=concurrency,
     )
 
     def promote(group: pd.DataFrame) -> pd.DataFrame:
@@ -93,9 +96,8 @@ class RegressionLinkStage(_RegionStateMixin):
         # single payload or sharded
         self._link = top1_link_memo(resolve_index(index_ref).find_similar)
         self.grid_by_addr = ray.get(grid_ref)
-        self._freeze_state()
 
-    def process(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         it = self.interpreter
         orders, grids, linked_grids, sims = [], [], [], []
         for order_no, text, grid in zip(
@@ -141,8 +143,9 @@ def regression_accuracy(data_dir: str, region_dict_path: str | None = None,
                                 addr_tbl.column("grid_id").to_pylist())))
 
     linked = read_regression_csv(os.path.join(data_dir, "regression.csv")).map_batches(
-        RegressionLinkStage, fn_constructor_args=(region_ref, index_ref, grid_ref),
-        batch_format="pyarrow", batch_size=1024, concurrency=concurrency,
+        per_block(RegressionLinkStage, region_ref, index_ref, grid_ref,
+                  batch_size=1024),
+        batch_format="pyarrow", batch_size=None, concurrency=concurrency,
     )
 
     def buckets(batch: pa.Table) -> pa.Table:
@@ -197,14 +200,14 @@ EXPLAIN_SCHEMA = pa.schema([
 ])
 
 
-class ExplainLinker(_RegionStateMixin):
-    """Actor-pool explain-mode scorer: mention rows -> one row per
+class ExplainLinker:
+    """Explain-mode scorer: mention rows -> one row per
     (candidate rank, matched term) — the reference's ``explain && topN``
     path (SimilarityComputer.java:456-550 + MatchedTerm.java:3-45; surfaced
     by HttpDemoServiceImpl.java:40-96).
 
     Holds ONLY the flat numpy corpus index: one ``ray.put`` payload whose
-    arrays every actor maps zero-copy (per-node index memory O(1) in actor
+    arrays every task maps zero-copy (per-node index memory O(1) in task
     count — the python-Doc replica this stage used to carry re-created the
     round-1 N-replicas memory-bus problem). The per-district scan selects
     each mention's <=top_n winners with sims bit-equal to the python scorer
@@ -219,7 +222,6 @@ class ExplainLinker(_RegionStateMixin):
         # query repeats heavily (~79% hit at base sf0.1, BASELINE.md); the
         # ranked winners + their MatchedTerm breakdown depend only on it
         self._ranked = LinkMemo(self._rank)
-        self._freeze_state()
 
     def _rank(self, query: tuple) -> list:
         """query -> [(doc_id, sim, MatchedTerm rows)] for its <=top_n winners."""
@@ -240,7 +242,7 @@ class ExplainLinker(_RegionStateMixin):
                  idx.explain_matched(key, int(i), *query[1:]))
                 for i in sel]
 
-    def process(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         out = {name: [] for name in EXPLAIN_SCHEMA.names}
         for conv_id, turn_idx, mention_idx, query in zip(
             batch.column("conv_id").to_pylist(),
@@ -269,12 +271,12 @@ class ExplainLinker(_RegionStateMixin):
 
 def links_explain(data_dir: str, mentions_dir: str, top_n: int = 2,
                   region_dict_path: str | None = None,
-                  concurrency: int | None = None):
+                  concurrency: int = 4):
     """Distributed explain-mode linking over the mentions checkpoint.
 
     ONE broadcast index (the flat numpy payload, plasma-mapped zero-copy per
     node) drives both the per-district scan and the per-term MatchedTerm
-    breakdown; no per-actor python-Doc replica. Built by the kg pipeline's
+    breakdown; no per-task python-Doc replica. Built by the kg pipeline's
     ``build_index_ref``, so corpora beyond the single-task budget get the
     sharded per-bucket build (the index shape ExplainLinker resolves
     transparently)."""
@@ -283,22 +285,12 @@ def links_explain(data_dir: str, mentions_dir: str, top_n: int = 2,
 
     region_dict_path = region_dict_path or default_region_dict_path()
     addresses_path = os.path.join(data_dir, "addresses.parquet")
-    # an actor pool RESERVES its CPUs: leave >=2 for the read/reduce tasks
-    # or the pipeline livelocks on small clusters. Default = the fused
-    # stage's measured saturation point (~20 actors per socket, BASELINE.md);
-    # an explicit request is honored (clamped only when the CPU count is
-    # actually known — right after init the resource table can be empty)
-    req = 20 if concurrency is None else concurrency
-    n_cpus = ray.cluster_resources().get("CPU")
-    if n_cpus:
-        req = min(req, int(n_cpus) - 2)
-    concurrency = max(2, req)
     region_ref = put_region_table(region_dict_path)
     np_index_ref = build_index_ref(addresses_path, region_ref, concurrency)
     return rd.read_parquet(
         mentions_dir,
         columns=["conv_id", "turn_idx", "mention_idx", *QUERY_COLUMNS],
     ).map_batches(
-        ExplainLinker, fn_constructor_args=(np_index_ref, top_n),
-        batch_format="pyarrow", batch_size=1024, concurrency=concurrency,
+        per_block(ExplainLinker, np_index_ref, top_n, batch_size=1024),
+        batch_format="pyarrow", batch_size=None, concurrency=concurrency,
     )

@@ -3,13 +3,13 @@
 Two modes, byte-identical triples:
 
 ``run_kg_pipeline`` (checkpointed/partitioned — the 100 TB-corpus path):
-    read_parquet(addresses)   -> map_batches(CorpusInterpretStage, actor pool)
+    read_parquet(addresses)   -> map_batches(CorpusInterpretStage)
                               -> doc_vectors/ (hive: bucket=crc32(district)%64)
     doc_vectors               -> partial df combine -> groupby((district,term)).sum
                               -> idf finalize -> idf/ (bucketed)
-    read_parquet(transcripts) -> map_batches(MentionStage, actor pool) -> mentions/
-    mentions                  -> sort(district_key) -> map_batches(LinkerActor,
-                                 per-actor bucket LRU)  -> links/
+    read_parquet(transcripts) -> map_batches(MentionStage) -> mentions/
+    mentions                  -> sort(district_key) -> map_batches(LinkStage,
+                                 per-block bucket LRU)  -> links/
     links                     -> map_batches(route_link_batch)
                               -> groupby(route).map_groups(finalize_route_group)
                                  [K3 + D4]      -> triples/ Parquet
@@ -20,17 +20,20 @@ memory, the common case against a 10^12-turn transcript table): the corpus
 index is a zero-copy numpy index in plasma (kernel/npindex.py — ONE copy
 per node, not per task) built by ``build_index_ref``; then ONE fused
 streaming job with no mid-pipeline disk:
-    read_parquet(transcripts) -> map_batches(MentionLinkTriplesStageTask,
-                                             task pool, one call per block)
+    read_parquet(transcripts) -> map_batches(MentionLinkTriplesStage)
                               -> groupby(route).map_groups(finalize_route_group)
                               -> triples/ Parquet
-                                 (route count: group_count(transcript rows);
-                                  read blocks: stream_read_blocks(same))
-The fused stage has no actor pool: each task builds the stage state for
-its read block with gc paused and drops it at the block's end, so the job
-starts no process of its own and a pooled worker keeps no state after it.
+                                 (route count: group_count(transcript rows))
 An index estimated above ``BROADCAST_INDEX_MAX_BYTES`` falls back to the
 checkpointed mode.
+
+Every stateful stage of both modes is a task pool of at most
+``concurrency`` tasks, one call per read block (``stages/interpret.py:
+per_block``): the call builds the stage for its block with gc paused and
+drops it at the block's end, so a job starts no process of its own, holds
+no CPU after it returns, and a pooled worker keeps no state. A region-state
+stage reads ``stream_read_blocks(rows, concurrency)`` blocks, so a small
+input pays one region load per task slot.
 
 ``build_index_ref`` is the one index-build router of every linking entry
 point (this mode, ``extras.regression_accuracy``, ``extras.links_explain``):
@@ -67,13 +70,13 @@ import ray.data as rd
 from ..kernel.npindex import N_DISTRICT_BUCKETS
 from ..stages.cogroup import footer_rows, group_count
 from ..stages.fused import (
-    MentionLinkTriplesStageTask, finalize_route_group, route_link_batch,
+    MentionLinkTriplesStage, finalize_route_group, route_link_batch,
 )
 from ..stages.idf import build_idf
 from ..stages.interpret import (
-    CorpusInterpretStage, MentionStage, paused_gc, put_region_table,
+    CorpusInterpretStage, MentionStage, paused_gc, per_block, put_region_table,
 )
-from ..stages.link import LinkerActor
+from ..stages.link import LinkStage
 from ..state.checkpoint import StageRunner, code_salt, fingerprint_paths
 from .oracle import default_region_dict_path
 
@@ -109,19 +112,11 @@ def run_kg_pipeline(
     fp_corpus = fingerprint_paths(addresses_path, region_dict_path, extra=params)
 
     def write_corpus(tmp):
-        # parallelism = block count: split the read into enough blocks that
-        # every actor in the pool has work (batch_size only sets the UDF call
-        # granularity WITHIN a task)
-        corpus_conc = max(2, concurrency // 3)  # corpus is the small side;
-        # fewer actors = less replicated trie-build CPU, still enough slots
-        ds = rd.read_parquet(addresses_path, columns=["addr_id", "text"])
-        ds = ds.repartition(corpus_conc * 4)
+        ds = _per_block_read(addresses_path, ["addr_id", "text"], concurrency)
         ds = ds.map_batches(
-            CorpusInterpretStage,
-            fn_constructor_args=(get_region_ref(),),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=corpus_conc,
+            per_block(CorpusInterpretStage, get_region_ref(),
+                      batch_size=batch_size),
+            batch_format="pyarrow", batch_size=None, concurrency=concurrency,
         )
         # sort by bucket so each hive dir gets ~1 file instead of 1 per block
         ds.sort("bucket").write_parquet(tmp, partition_cols=["bucket"])
@@ -142,14 +137,11 @@ def run_kg_pipeline(
     fp_mentions = fingerprint_paths(transcripts_path, region_dict_path, extra=params)
 
     def write_mentions(tmp):
-        ds = rd.read_parquet(transcripts_path, columns=["conv_id", "turn_idx", "role", "text"])
-        ds = ds.repartition(concurrency * 4)
+        ds = _per_block_read(transcripts_path,
+                             ["conv_id", "turn_idx", "role", "text"], concurrency)
         ds = ds.map_batches(
-            MentionStage,
-            fn_constructor_args=(get_region_ref(),),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
+            per_block(MentionStage, get_region_ref(), batch_size=batch_size),
+            batch_format="pyarrow", batch_size=None, concurrency=concurrency,
         )
         ds.write_parquet(tmp)
 
@@ -159,21 +151,19 @@ def run_kg_pipeline(
     fp_links = fingerprint_paths(mentions_dir, doc_dir, idf_dir, extra=params)
 
     def write_links(tmp):
-        # sort (the one shuffle) clusters districts so the actor-pool linker's
-        # bucket LRU hits. Small batches are the skew lever: a hot district
-        # (one key can be >40% of all mention x doc pair-work) is sliced into
-        # many bundles that the actor pool spreads — same effect as salting,
-        # without a second shuffle, because the corpus side is read per bucket.
+        # sort (the one shuffle) clusters districts so each block's bucket
+        # LRU hits. Many blocks are the skew lever: a hot district (one key
+        # can be >40% of all mention x doc pair-work) is sliced into many
+        # blocks that the task pool spreads — same effect as salting,
+        # without a second shuffle, because the corpus side is read per
+        # bucket. A LinkStage loads nothing up front, so a block costs little.
         ds = rd.read_parquet(mentions_dir).sort("district_key")
-        # order-preserving block split: slices the hot district across many
-        # tasks so the pool load-balances (a task is the scheduling unit)
+        # order-preserving block split: one link call per block
         ds = ds.repartition(concurrency * 12)
         out = ds.map_batches(
-            LinkerActor,
-            fn_constructor_args=(doc_dir, idf_dir, top_n),
-            batch_format="pyarrow",
-            batch_size=link_batch_size,
-            concurrency=concurrency,
+            per_block(LinkStage, doc_dir, idf_dir, top_n,
+                      batch_size=link_batch_size),
+            batch_format="pyarrow", batch_size=None, concurrency=concurrency,
         )
         out.write_parquet(tmp)
 
@@ -211,23 +201,30 @@ def run_kg_pipeline(
 # is the only honest mode.
 SMALL_INDEX_OVERLAP_MAX_BYTES = 16 << 20
 BROADCAST_INDEX_MAX_BYTES = 4 << 30
-# transcript read blocks per fused task slot: enough tasks for the pool to
-# load-balance, few enough that per-task overhead stays small
+# read blocks per task slot of a region-state stage: enough tasks for the
+# pool to load-balance, few enough that per-task overhead stays small
 STREAM_BLOCKS_PER_ACTOR = 6
-# turns one read block should hold before the pool gets more blocks than
-# task slots: each block is one fused task (with one stage-state load, and
-# turn and link memos that span only that block), one sort map and reduce
+# rows one read block should hold before the pool gets more blocks than
+# task slots: each block is one stage task (with one stage-state load, and
+# memos that span only that block) and, downstream, one sort map and reduce
 # task, one finalize task and one output file, so a small input pays those
 # once per slot instead of STREAM_BLOCKS_PER_ACTOR times
 STREAM_BLOCK_ROWS = 16_384
 
 
 def stream_read_blocks(rows: int, concurrency: int) -> int:
-    """Transcript read blocks of ``run_kg_streaming`` over ~``rows`` turns:
-    one per ``STREAM_BLOCK_ROWS``, at least one per fused task slot, at most
+    """Read blocks of a region-state stage over ~``rows`` rows: one per
+    ``STREAM_BLOCK_ROWS``, at least one per task slot, at most
     ``STREAM_BLOCKS_PER_ACTOR`` per slot."""
     return min(concurrency * STREAM_BLOCKS_PER_ACTOR,
                max(concurrency, -(-rows // STREAM_BLOCK_ROWS)))
+
+
+def _per_block_read(path: str, columns: list[str], concurrency: int):
+    """``path`` read in ``stream_read_blocks`` blocks, one stage build each."""
+    return rd.read_parquet(
+        path, columns=columns,
+        override_num_blocks=stream_read_blocks(footer_rows(path), concurrency))
 
 
 def estimate_index_bytes(addresses_path: str) -> int:
@@ -333,8 +330,6 @@ def _build_small_corpus_index_impl(addresses_path: str, region_ref):
         except OSError:
             pass
 
-    # a task (or in-process caller), not an actor: the stage does not
-    # freeze, and the pause ends with the build
     with paused_gc():
         stage = CorpusInterpretStage(region_ref)
         tbl = pq.read_table(addresses_path, columns=["addr_id", "text"])
@@ -426,16 +421,11 @@ def build_index_ref(addresses_path: str, region_ref, concurrency: int,
     never funnels through the driver."""
     if estimate_index_bytes(addresses_path) <= SMALL_INDEX_OVERLAP_MAX_BYTES:
         return _build_small_corpus_index.remote(addresses_path, region_ref)
-    corpus_conc = max(2, concurrency // 2)
     corpus_ds = (
-        rd.read_parquet(addresses_path, columns=["addr_id", "text"],
-                        override_num_blocks=corpus_conc * 4)
+        _per_block_read(addresses_path, ["addr_id", "text"], concurrency)
         .map_batches(
-            CorpusInterpretStage,
-            fn_constructor_args=(region_ref,),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=corpus_conc,
+            per_block(CorpusInterpretStage, region_ref, batch_size=batch_size),
+            batch_format="pyarrow", batch_size=None, concurrency=concurrency,
         )
         .materialize()  # one execution; a bare to_arrow_refs schema-peeks
         # the plan and runs the whole read+interpret a second time
@@ -485,17 +475,14 @@ def run_kg_streaming(
         return result
     index_ref = build_index_ref(addresses_path, region_ref, concurrency, batch_size)
 
-    n_turns = footer_rows(transcripts_path)
     triples_ds = (
-        rd.read_parquet(transcripts_path,
-                        columns=["conv_id", "turn_idx", "role", "text"],
-                        override_num_blocks=stream_read_blocks(n_turns, concurrency))
+        _per_block_read(transcripts_path,
+                        ["conv_id", "turn_idx", "role", "text"], concurrency)
         .map_batches(
-            MentionLinkTriplesStageTask(region_ref, index_ref, top_n,
-                                        group_count(n_turns), batch_size),
-            batch_format="pyarrow",
-            batch_size=None,  # one call per read block: one state load each
-            concurrency=concurrency,
+            per_block(MentionLinkTriplesStage, region_ref, index_ref, top_n,
+                      group_count(footer_rows(transcripts_path)),
+                      batch_size=batch_size),
+            batch_format="pyarrow", batch_size=None, concurrency=concurrency,
         )
         .groupby("route")
         .map_groups(finalize_route_group, batch_format="pyarrow")

@@ -2474,14 +2474,14 @@ def multimodal_image_meta(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     with_payload = ds.map_batches(attach_payload_batch, batch_format="pyarrow", batch_size=256)
-    return with_payload.map_batches(ImageDecodeStub, batch_format="pyarrow",
-                                    batch_size=256, concurrency=2)
+    return with_payload.map_batches(ImageDecodeStub(), batch_format="pyarrow",
+                                    batch_size=256)
 
 
 def multimodal_wav_decode(sf_dir: str):
     """REAL audio decode path (round-5): deterministic PCM WAV payloads
     (stdlib ``wave`` writer — genuine RIFF containers) attached per doc,
-    then an actor-pool decode stage parses them back with the stdlib
+    then a decode stage parses them back with the stdlib
     ``wave`` reader and emits exact integer sample stats. Compressed
     codecs (MP3/AAC) remain honestly stubbed — absent from the container
     — but the decode PLUMBING runs against real media bytes and an exact
@@ -2491,13 +2491,13 @@ def multimodal_wav_decode(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id"])
     payload = ds.map_batches(attach_wav_payload_batch,
                              batch_format="pyarrow", batch_size=256)
-    return payload.map_batches(WavDecode, batch_format="pyarrow",
-                               batch_size=256, concurrency=2)
+    return payload.map_batches(WavDecode(), batch_format="pyarrow",
+                               batch_size=256)
 
 
 def multimodal_ppm_decode(sf_dir: str):
     """REAL image decode path (round-5): deterministic netpbm P6 images
-    attached per doc, parsed back by an actor-pool stage (header + raw RGB
+    attached per doc, parsed back by a decode stage (header + raw RGB
     buffer) into exact per-channel sums; see ``multimodal_wav_decode`` for
     the compressed-codec caveat."""
     from ..stages.multimodal import PpmDecode, attach_ppm_payload_batch
@@ -2505,14 +2505,14 @@ def multimodal_ppm_decode(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id"])
     payload = ds.map_batches(attach_ppm_payload_batch,
                              batch_format="pyarrow", batch_size=256)
-    return payload.map_batches(PpmDecode, batch_format="pyarrow",
-                               batch_size=256, concurrency=2)
+    return payload.map_batches(PpmDecode(), batch_format="pyarrow",
+                               batch_size=256)
 
 
 def multimodal_ppm_resize(sf_dir: str, out_w: int = 4, out_h: int = 4):
     """REAL image resize (the task's named multimodal stage next to
     decode): nearest-neighbor downsample of each P6 image to
-    (out_w, out_h) inside an actor-pool ``map_batches`` stage — integer
+    (out_w, out_h) inside a task-pool ``map_batches`` stage — integer
     sample-index math end to end (src = (i * dim) // out), emitting exact
     per-channel sums of the RESIZED pixels the SQL oracle recomputes
     pixel-for-pixel. Same streaming shape as the decode path: payloads
@@ -2523,10 +2523,8 @@ def multimodal_ppm_resize(sf_dir: str, out_w: int = 4, out_h: int = 4):
     ds = _read(sf_dir, "documents", ["doc_id"])
     payload = ds.map_batches(attach_ppm_payload_batch,
                              batch_format="pyarrow", batch_size=256)
-    return payload.map_batches(PpmResize, batch_format="pyarrow",
-                               batch_size=256, concurrency=2,
-                               fn_constructor_kwargs={"out_w": out_w,
-                                                      "out_h": out_h})
+    return payload.map_batches(PpmResize(out_w, out_h), batch_format="pyarrow",
+                               batch_size=256)
 
 
 def multimodal_audio_frames(sf_dir: str):
@@ -2534,8 +2532,8 @@ def multimodal_audio_frames(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     with_payload = ds.map_batches(attach_payload_batch, batch_format="pyarrow", batch_size=256)
-    frames = with_payload.map_batches(AudioFrameSampleStub, batch_format="pyarrow",
-                                      batch_size=128, concurrency=2)
+    frames = with_payload.map_batches(AudioFrameSampleStub(), batch_format="pyarrow",
+                                      batch_size=128)
     return frames.groupby("doc_id").aggregate(Count(alias_name="n_frames"))
 
 
@@ -2549,10 +2547,9 @@ def _kg_artifacts(sf_dir: str) -> dict:
     data_dir = ensure_dataset(sf, root=SYNTH_ROOT)
     work = os.path.join(WORK_ROOT, f"sf{sf:g}")
     # size the (resumable) artifact build to the session's cluster — a cold
-    # cache at sf0.1 otherwise pays a whole checkpointed run at 4 actors
+    # cache at sf0.1 otherwise pays a whole checkpointed run at 4 tasks
     n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    return run_kg_pipeline(data_dir, work,
-                           concurrency=max(2, min(24, n_cpus - 4)))
+    return run_kg_pipeline(data_dir, work, concurrency=min(24, n_cpus))
 
 
 def _ensure_kg_naive(sf_dir: str):

@@ -17,18 +17,14 @@ triples do not depend on ``n``.
   same plasma buffers read-only (zero-copy, O(1) index memory per node
   regardless of task count), and ``MentionLinkTriplesStage`` detects,
   links and routes in one pass over the transcript stream — a broadcast
-  map-side join with no sort and no co-partition shuffle. The stage runs
-  in a task pool: ``MentionLinkTriplesStageTask`` builds it once per read
-  block with gc paused and drops it when the block ends, so no worker
-  keeps stage state (or a frozen, disabled collector) after its task.
+  map-side join with no sort and no co-partition shuffle. Like every
+  stage, it lives one read block (``stages/interpret.py:per_block``).
 - Checkpointed (``run_kg_pipeline``): the ``links/`` checkpoint written by
-  ``LinkerActor`` has the same link-row schema; ``route_link_batch`` is the
+  ``LinkStage`` has the same link-row schema; ``route_link_batch`` is the
   Arrow adapter that feeds it to ``route_link_rows``.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 import pyarrow as pa
@@ -36,7 +32,7 @@ import pyarrow as pa
 from ..kernel.mentions import find_mentions, query_key
 from ..kernel.npindex import NpCorpusIndex, ShardedNpIndex
 from .cogroup import bucket_of, group_count
-from .interpret import _RegionStateMixin, _region_ids, paused_gc
+from .interpret import _RegionStateMixin, _region_ids
 
 
 def resolve_index(index_ref):
@@ -141,8 +137,8 @@ class MentionLinkTriplesStage(_RegionStateMixin):
     (detect + link, then ``route_link_rows`` into ``n_routes`` buckets; an
     in-process caller that passes none gets ``group_count()``). The whole
     streaming pipeline stays a single job: read -> this stage (one per read
-    block, ``MentionLinkTriplesStageTask``) -> one groupby -> finalize ->
-    write. Its turn and link memos live as long as the stage: one block."""
+    block, ``per_block``) -> one groupby -> finalize -> write. Its turn and
+    link memos live as long as the stage: one block."""
 
     def __init__(self, region_ref, index_ref, top_n: int = 1,
                  n_routes: int | None = None):
@@ -211,32 +207,8 @@ class MentionLinkTriplesStage(_RegionStateMixin):
                 o_chain(chain)
         return out
 
-    def process(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         return route_link_rows(self._link_rows(batch), self._n_routes)
-
-
-class MentionLinkTriplesStageTask:
-    """The streaming job's fused task body: a task-pool ``map_batches``
-    callable that gets one whole read block per call (``batch_size=None``).
-
-    It builds one ``MentionLinkTriplesStage`` for the block with gc paused,
-    runs it over ``batch_size``-row slices, yields each slice's routed rows,
-    then drops the stage and gives the collector back. Nothing outlives the
-    call: no process is started for the job, and a pooled worker keeps
-    neither stage state nor a frozen or disabled collector. The cost is one
-    state load (region unpickle + zero-copy index map) per block."""
-
-    def __init__(self, region_ref, index_ref, top_n: int = 1,
-                 n_routes: int | None = None, batch_size: int = 2048):
-        self._stage_args = (region_ref, index_ref, top_n, n_routes)
-        self._batch_size = batch_size
-
-    def __call__(self, block: pa.Table) -> Iterator[pa.Table]:
-        with paused_gc():
-            stage = MentionLinkTriplesStage(*self._stage_args)
-            for start in range(0, block.num_rows, self._batch_size):
-                yield stage(block.slice(start, self._batch_size))
-            del stage
 
 
 def _edge_triples(df):

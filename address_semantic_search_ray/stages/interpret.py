@@ -6,11 +6,12 @@ stage unpickles it in ``__init__`` (one object-store read per stage, never
 re-shipped per batch) — replicated read-only state, mirroring the
 reference's one-visitor-per-thread rule (RegionInterpreterVisitor.java:52-56).
 
-A stage lives either in an actor (actor-pool ``map_batches``; it then
-freezes its state and turns the collector off for the actor's life, see
-``_freeze_state``) or for one task or in-process call (the streaming fused
-stage, the single-task index build). The latter build and run it inside
-``paused_gc()``, which gives the collector back when the work ends.
+Every stage has one lifetime: one read block. ``per_block`` wraps a stage
+class as a task-pool ``map_batches`` UDF that builds the stage for its
+block inside ``paused_gc()``, runs it over the block's slices and drops it,
+so no process keeps stage state (or a paused collector) after its task.
+In-process callers (the single-task index build, ``perfbench``) build a
+stage and call it on a table directly.
 
 Batches are ``pyarrow`` in / ``pyarrow`` out (zero-copy from the object
 store); the per-row trie walk is pure CPU.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+from collections.abc import Iterator
 
 import pyarrow as pa
 
@@ -45,12 +47,22 @@ def paused_gc():
             gc.enable()
 
 
-def _in_actor() -> bool:
-    """True inside a Ray actor process (an actor-pool stage)."""
-    import ray
+def per_block(stage_cls, *args, batch_size: int):
+    """``stage_cls(*args)`` as a task-pool ``map_batches`` UDF; map it with
+    ``batch_size=None`` so each call gets one whole read block. The call
+    builds one stage for the block with gc paused, yields the stage's
+    output for each ``batch_size``-row slice, then drops the stage and
+    gives the collector back. The cost is one stage build per block. The
+    UDF carries the stage's name, which Ray gives the operator."""
+    def run(block: pa.Table) -> Iterator[pa.Table]:
+        with paused_gc():
+            stage = stage_cls(*args)
+            for start in range(0, block.num_rows, batch_size):
+                yield stage(block.slice(start, batch_size))
+            del stage
 
-    return ray.is_initialized() \
-        and ray.get_runtime_context().get_actor_id() is not None
+    run.__name__ = run.__qualname__ = stage_cls.__name__
+    return run
 
 
 def region_state_bytes(region_dict_path: str) -> bytes:
@@ -113,32 +125,17 @@ def region_state_bytes(region_dict_path: str) -> bytes:
 
 def put_region_table(region_dict_path: str):
     """Driver-side: put the pickled (region dict, trie) pair in the object
-    store ONCE. Unpickling in each actor (~0.5 s) is 2-3x faster than
-    rebuilding from the arrow table (~1.6 s) — it cuts the actor-pool ramp
-    at every scale, and plasma stores the bytes once per node."""
+    store ONCE. Unpickling it per stage (~0.2 s with gc paused) is several
+    times faster than rebuilding from the arrow table (~1.6 s), and plasma
+    stores the bytes once per node."""
     import ray
 
     return ray.put(region_state_bytes(region_dict_path))
 
 
 class _RegionStateMixin:
-    """Replicated read-only region state of a stage. A stage implements
-    ``process(batch)``; the mixin owns ``__call__``, which runs the periodic
-    gc sweep before every batch, so no stage can skip it."""
-
-    _GC_EVERY = 512  # batches (~1M rows) between explicit cycle sweeps
-    _gc_tick = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        """Amortized cycle collection while ``_freeze_state`` keeps gc
-        disabled: one explicit ``gc.collect()`` every _GC_EVERY batches
-        costs ~ms and bounds any cyclic garbage the hot loop produces
-        (tests/ADVICE round 2). Per batch it is one counter bump."""
-        self._gc_tick += 1
-        if self._gc_tick >= self._GC_EVERY:
-            self._gc_tick = 0
-            gc.collect()
-        return self.process(batch)
+    """Replicated read-only region state of a stage: the interpreter over
+    the shared (region dict, trie) pair and the turn prefilter."""
 
     def _init_interpreter(self, region_ref):
         import pickle
@@ -167,27 +164,6 @@ class _RegionStateMixin:
         if (pc.sum(mask).as_py() or 0) < batch.num_rows:
             batch = batch.filter(mask)
         return batch
-
-    def _freeze_state(self):
-        """In an actor, move the (large, immutable) per-actor state out of
-        GC's reach and stop cyclic GC in the hot loop. Freeze alone still
-        leaves periodic young-gen collections whose heap walks contend
-        badly under a full actor pool (A/B at 28 processes: +25% throughput
-        with GC off). The hot loop allocates mostly acyclic objects that
-        refcounting frees immediately; the rare cycle (pandas frames,
-        caught-exception tracebacks) is reclaimed by the sweep in
-        ``__call__``, so sustained runs stay memory-bounded.
-
-        Anywhere else (a task, a driver, a test) this is a no-op: the
-        process outlives the stage, and a freeze or a disabled collector
-        would stay behind for whatever it runs next. Such callers pause gc
-        around the stage's life with ``paused_gc()`` instead."""
-        if not _in_actor():
-            return
-        gc.collect()
-        gc.freeze()
-        gc.disable()
-        self._gc_tick = 0
 
 
 # Import-side column caps at the persist boundary (S5): the reference
@@ -233,9 +209,8 @@ class CorpusInterpretStage(_RegionStateMixin):
 
     def __init__(self, region_ref):
         self._init_interpreter(region_ref)
-        self._freeze_state()
 
-    def process(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         from ..kernel.document import analyse, term_idf_key
         from ..kernel.npindex import district_bucket
 
@@ -270,9 +245,8 @@ class MentionStage(_RegionStateMixin):
     def __init__(self, region_ref):
         self._init_interpreter(region_ref)
         self._init_prefilter()
-        self._freeze_state()
 
-    def process(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         batch = self._apply_prefilter(batch)
         it = self.interpreter
         out = {k: [] for k in ("conv_id", "turn_idx", "mention_idx", "role",

@@ -6,16 +6,19 @@ raw district — 3k+ tiny directories cost more in file-system and read-task
 overhead than they save; a bucket is the pruning unit, a district the
 lookup unit inside it).
 
-Execution: mentions are SORTED by district_key (the only shuffle) and scored
-by an actor pool; each actor keeps an LRU of loaded buckets, so consecutive
-batches — district-clustered after the sort — hit the cache. Worst-case
-bucket loads = actors x buckets, vs. groups x 2 parquet opens for the naive
-per-district ``map_groups`` (measured 3-5x slower at sf0.1).
+Execution: mentions are SORTED by district_key (the only shuffle), split
+into blocks in order and scored by a task pool, one ``LinkStage`` per block
+(``stages/interpret.py:per_block``). A stage keeps an LRU of loaded buckets,
+so consecutive slices — district-clustered after the sort — hit the cache.
+Worst-case bucket loads = blocks x buckets each block touches, vs. groups x
+2 parquet opens for the naive per-district ``map_groups`` (measured 3-5x
+slower at sf0.1).
 
-Skew: a hot district spans many batches but loads its bucket once per actor;
-batch size bounds per-task memory regardless of key skew. This mirrors the
-reference's per-district ``.vt`` cache with ``cacheVectorsInMemory``
-(SimilarityComputer.java:83, 558-617) as a bounded per-actor cache.
+Skew: a hot district spans many blocks, which the pool spreads over its
+slots; slice size bounds per-call memory regardless of key skew. This
+mirrors the reference's per-district ``.vt`` cache with
+``cacheVectorsInMemory`` (SimilarityComputer.java:83, 558-617) as a bounded
+per-block cache.
 
 ``LinkMemo`` is the one link memo of every linking entry point (this
 stage, the fused streaming stage, the regression and explain linkers):
@@ -35,7 +38,6 @@ import pyarrow.parquet as pq
 from ..kernel.mentions import QUERY_COLUMNS
 from ..kernel.npindex import NpCorpusIndex, district_bucket
 from .fused import FUSED_SCHEMA
-from .interpret import _RegionStateMixin
 
 # entries a link memo holds before it starts over
 LINK_MEMO_MAX = 500_000
@@ -103,19 +105,18 @@ def query_rows(batch: pa.Table):
     return zip(*(batch.column(c).to_pylist() for c in QUERY_COLUMNS))
 
 
-class LinkerActor(_RegionStateMixin):
-    """Actor-pool scorer with an LRU of loaded buckets: mention rows -> link
-    rows (``FUSED_SCHEMA``, the streaming stage's link-row schema, so both
-    modes route and finalize them with the same code)."""
+class LinkStage:
+    """Scorer with an LRU of loaded buckets: mention rows -> link rows
+    (``FUSED_SCHEMA``, the streaming stage's link-row schema, so both modes
+    route and finalize them with the same code). It loads nothing up front."""
 
-    CACHE_BUCKETS = 16  # loaded bucket indexes kept per actor
+    CACHE_BUCKETS = 16  # loaded bucket indexes kept per stage
 
     def __init__(self, doc_dir: str, idf_dir: str, top_n: int = 1):
         self.doc_dir = doc_dir
         self.idf_dir = idf_dir
         self._cache: OrderedDict[int, NpCorpusIndex | None] = OrderedDict()
         self._link = top1_link_memo(self._find_similar, top_n)
-        self._freeze_state()
 
     def _find_similar(self, key, *fields, top_n):
         idx = self._bucket_index(district_bucket(key))
@@ -131,7 +132,7 @@ class LinkerActor(_RegionStateMixin):
             self._cache.popitem(last=False)
         return idx
 
-    def process(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         linked_out, score_out = [], []
         for query in query_rows(batch):
             linked, score = self._link(query)

@@ -7,9 +7,12 @@ Two tiers of decode, honestly separated:
 - UNCOMPRESSED formats decode for REAL with zero external deps: PCM WAV
   through the stdlib ``wave`` RIFF reader (``WavDecode``) and netpbm P6
   PPM through a header parse + raw pixel buffer (``PpmDecode``) — genuine
-  byte-level media parsing, so the actor-pool decode plumbing (binary
-  Arrow column in, per-actor setup, small batches, metadata-only out) is
-  exercised end-to-end against an exact SQL oracle.
+  byte-level media parsing, so the decode plumbing (binary Arrow column in,
+  small batches, metadata-only out) is exercised end-to-end against an
+  exact SQL oracle.
+
+Every decode stage holds only constants, so the queries map an instance
+of it as a task-pool UDF.
 """
 
 from __future__ import annotations
@@ -166,9 +169,9 @@ class PpmResize:
 
 
 class ImageDecodeStub:
-    """Actor-pool decode stage. Real decoders load once per actor in
-    ``__init__``; without codecs we emit deterministic fake metadata derived
-    from the payload bytes (SQL-checkable)."""
+    """Image decode stage. ``__init__`` probes for a codec once, where the
+    instance is built; without codecs we emit deterministic fake metadata
+    derived from the payload bytes (SQL-checkable)."""
 
     def __init__(self):
         try:  # pragma: no cover - codec not present in this container

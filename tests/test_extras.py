@@ -154,11 +154,13 @@ def test_jsonl_transcript_reader(ray_session, tmp_path):
     import pyarrow as pa
 
     from address_semantic_search_ray.pipelines.oracle import default_region_dict_path
-    from address_semantic_search_ray.stages.interpret import MentionStage, put_region_table
+    from address_semantic_search_ray.stages.interpret import (
+        MentionStage, per_block, put_region_table,
+    )
 
     region_ref = put_region_table(default_region_dict_path())
-    out = ds.map_batches(MentionStage, fn_constructor_args=(region_ref,),
-                         batch_format="pyarrow", batch_size=16,
+    out = ds.map_batches(per_block(MentionStage, region_ref, batch_size=16),
+                         batch_format="pyarrow", batch_size=None,
                          concurrency=1).take_all()
     assert len(out) == 1 and out[0]["district_key"].count("-") == 2
 

@@ -254,37 +254,6 @@ def test_both_modes_match_oracle_at_forced_counts(ray_session, tiny_data,
         shutil.rmtree(res["triples"])  # the next count reruns triples only
 
 
-def test_every_region_stage_sweeps_gc(monkeypatch):
-    """In an actor ``_freeze_state`` turns automatic gc off, so every
-    ``_RegionStateMixin`` stage must sweep within ``_GC_EVERY`` batches.
-    The mixin owns ``__call__`` and the stages only define ``process``, so
-    none can skip the sweep."""
-    import address_semantic_search_ray.pipelines.extras  # noqa: F401
-    import address_semantic_search_ray.stages.fused  # noqa: F401
-    from address_semantic_search_ray.stages import interpret
-
-    def subclasses(cls):
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from subclasses(sub)
-
-    stages = {c for c in subclasses(interpret._RegionStateMixin)
-              if c.__module__.startswith("address_semantic_search_ray.")}
-    assert {"TownMineStage", "RegressionLinkStage", "ExplainLinker",
-            "MentionLinkTriplesStage", "LinkerActor"} <= {
-                c.__name__ for c in stages}
-    sweeps = []
-    monkeypatch.setattr(interpret.gc, "collect", lambda: sweeps.append(1))
-    for cls in stages:
-        assert "__call__" not in vars(cls), cls
-        stage = cls.__new__(cls)
-        stage.process = lambda batch: batch
-        sweeps.clear()
-        for _ in range(cls._GC_EVERY):
-            assert stage("batch") == "batch"
-        assert sweeps == [1], cls
-
-
 def test_index_cache_key_salts_every_package_module(tmp_path, monkeypatch):
     """The corpus-index cache key changes with the source of any package
     module, among them ``stages/interpret.py`` and ``kernel/mentions.py``,
@@ -320,7 +289,7 @@ def test_index_cache_key_salts_every_package_module(tmp_path, monkeypatch):
 def test_links_invariant_under_memo_cap(tiny_data, pipeline_result, monkeypatch):
     """Every linker's memo only saves recomputation: with the link-memo cap
     at 1 (cleared on nearly every miss) the fused stage routes the same rows
-    as at the default cap, and ``LinkerActor`` links the ``mentions/``
+    as at the default cap, and ``LinkStage`` links the ``mentions/``
     checkpoint to the same rows as the ``links/`` checkpoint. In-process,
     so the patched cap reaches the stages."""
     import pyarrow as pa
@@ -346,8 +315,8 @@ def test_links_invariant_under_memo_cap(tiny_data, pipeline_result, monkeypatch)
         routed = pa.concat_tables(
             [stage(pa.Table.from_batches([b]))
              for b in transcripts.to_batches(max_chunksize=256)])
-        linker = link.LinkerActor(pipeline_result["doc_vectors"],
-                                  pipeline_result["idf"], 1)
+        linker = link.LinkStage(pipeline_result["doc_vectors"],
+                                pipeline_result["idf"], 1)
         linked = pa.concat_tables(
             [linker(pa.Table.from_batches([b]))
              for b in mentions.to_batches(max_chunksize=128)])
@@ -408,15 +377,17 @@ def test_streaming_triples_invariant_under_block_layout(ray_session, tiny_data,
 
 
 def test_task_scoped_stages_leave_gc_as_found(tiny_data, monkeypatch):
-    """Outside an actor no stage freezes or disables the collector for
-    good: the single-task index build (cache off, so it builds) and the
-    streaming fused task body each leave ``gc.isenabled()`` and the freeze
+    """No stage freezes or disables the collector for good: the
+    single-task index build (cache off, so it builds) and a ``per_block``
+    call of the fused stage each leave ``gc.isenabled()`` and the freeze
     count as they found them, whether gc was on or off."""
     import pyarrow as pa
 
     from address_semantic_search_ray.pipelines import kg
     from address_semantic_search_ray.stages import fused
-    from address_semantic_search_ray.stages.interpret import region_state_bytes
+    from address_semantic_search_ray.stages.interpret import (
+        per_block, region_state_bytes,
+    )
 
     monkeypatch.setenv("ASR_INDEX_CACHE", "off")
     region = region_state_bytes(kg.default_region_dict_path())
@@ -429,7 +400,9 @@ def test_task_scoped_stages_leave_gc_as_found(tiny_data, monkeypatch):
             payload = kg._build_small_corpus_index_impl(
                 tiny_data + "/addresses.parquet", region)
             assert (gc.isenabled(), gc.get_freeze_count()) == found
-            task = fused.MentionLinkTriplesStageTask(region, payload, 1, 4, 256)
+            task = per_block(fused.MentionLinkTriplesStage, region, payload,
+                             1, 4, batch_size=256)
+            assert task.__name__ == "MentionLinkTriplesStage"
             routed = pa.concat_tables(task(transcripts))
             assert (gc.isenabled(), gc.get_freeze_count()) == found
         finally:
@@ -438,46 +411,68 @@ def test_task_scoped_stages_leave_gc_as_found(tiny_data, monkeypatch):
     assert set(routed.column("route").to_pylist()) <= set(range(4))
 
 
-_STREAM_RELEASE_SCRIPT = """
+_RELEASE_SCRIPT = """
 import json, sys, time
 import ray
 ray.init(address="local", num_cpus=4, include_dashboard=False,
          logging_level="ERROR")
-from address_semantic_search_ray.pipelines.kg import run_kg_streaming
+from address_semantic_search_ray.pipelines import kg, queries
+from address_semantic_search_ray.pipelines.extras import (
+    links_explain, regression_accuracy)
+data, work, sf_small = sys.argv[1:4]
 total = ray.cluster_resources()["CPU"]
-held = []
-for i in range(3):
-    run_kg_streaming(sys.argv[1], sys.argv[2] + str(i), concurrency=2)
+held = {}
+
+def check(name):
     deadline = time.time() + 5
     while ray.available_resources().get("CPU", 0) < total \\
             and time.time() < deadline:
         time.sleep(0.2)
-    held.append(total - ray.available_resources().get("CPU", 0))
+    held[name] = total - ray.available_resources().get("CPU", 0)
+
+res = kg.run_kg_pipeline(data, work + "/kg", concurrency=4, resume=False)
+check("run_kg_pipeline")
+regression_accuracy(data, concurrency=4)
+check("regression_accuracy")
+links_explain(data, res["mentions"], concurrency=4).to_pandas()
+check("links_explain")
+kg.SMALL_INDEX_OVERLAP_MAX_BYTES = 0
+kg.run_kg_streaming(data, work + "/stream", concurrency=4)
+check("run_kg_streaming")
+queries.multimodal_wav_decode(sf_small).to_pandas()
+check("multimodal_wav_decode")
+queries.multimodal_ppm_resize(sf_small).to_pandas()
+check("multimodal_ppm_resize")
 ray.shutdown()
 print(json.dumps(held))
 """
 
 
-def test_streaming_job_releases_its_actors(tiny_data, tmp_path):
-    """The streaming job holds no CPU after it returns: in a fresh Ray
-    session (its own process, so no earlier test's pools count), every CPU
-    is free within 5 s of each of three ``run_kg_streaming`` returns, with
-    no ``gc.collect()`` in the caller or the job. The fused stage runs as
-    tasks, so the job starts no actor; an actor pool would hold its CPUs
-    until a full gc, since Ray Data drops a finished pool's actor handles
-    inside reference cycles."""
+def test_finished_jobs_release_every_cpu(tiny_data, tmp_path):
+    """No job holds a CPU after it returns, and none starves its own
+    reads: in a fresh 4-CPU Ray session (its own process, so no earlier
+    test's state counts) the checkpointed pipeline at ``concurrency=4``
+    finishes, and after it, the regression and explain linkers, the
+    streaming job on the sharded-index path and two multimodal decode
+    queries, every CPU is free within 5 s, with no ``gc.collect()``
+    anywhere. Every stateful stage runs as tasks (``per_block``); an actor
+    pool would reserve all four CPUs for the job's life, so its upstream
+    read never ran, and after the job held CPUs until a full gc."""
     import json
     import os
     import subprocess
     import sys
 
+    from tests.conftest import SF_SMALL
+
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = subprocess.run(
-        [sys.executable, "-c", _STREAM_RELEASE_SCRIPT, tiny_data,
-         str(tmp_path / "stream")],
-        cwd=repo, capture_output=True, text=True, timeout=600)
+        [sys.executable, "-c", _RELEASE_SCRIPT, tiny_data, str(tmp_path),
+         SF_SMALL],
+        cwd=repo, capture_output=True, text=True, timeout=420)
     assert out.returncode == 0, out.stderr[-2000:]
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, 0, 0]
+    held = json.loads(out.stdout.strip().splitlines()[-1])
+    assert held == {name: 0 for name in held} and len(held) == 6, held
 
 
 def test_streaming_distributed_corpus_path_matches(ray_session, tiny_data, tmp_path_factory,
@@ -533,12 +528,13 @@ def test_linker_pool_balances_under_district_skew(ray_session, tiny_data,
     """North-rule skew handling, asserted rather than argued: ONE district
     carries 90% of all mentions. The checkpointed link stage's shape —
     sort(district_key) clusters the hot key, the order-preserving
-    repartition slices it into many bundles, small link_batch_size bounds
-    each bundle — must let the actor pool spread the hot district: per-actor
-    processed-row counts within ~2x of each other (the same effect salting
-    would buy, without a second shuffle)."""
+    repartition slices it into ``concurrency * 12`` blocks, one link call
+    each — must spread the hot district: the calls' row counts are within
+    2x of each other (the same effect salting would buy, without a second
+    shuffle)."""
     import glob
     import os
+    import uuid
 
     import pyarrow as pa
 
@@ -546,7 +542,7 @@ def test_linker_pool_balances_under_district_skew(ray_session, tiny_data,
     from address_semantic_search_ray.kernel.regions import RegionDict
     from address_semantic_search_ray.pipelines import kg as kgmod
     from address_semantic_search_ray.pipelines.oracle import default_region_dict_path
-    from address_semantic_search_ray.stages.link import LinkerActor
+    from address_semantic_search_ray.stages.link import LinkStage
 
     data_dir = str(tmp_path / "skewdata")
     os.makedirs(data_dir)
@@ -578,22 +574,30 @@ def test_linker_pool_balances_under_district_skew(ray_session, tiny_data,
     cnt_dir = str(tmp_path / "cnt")
     os.makedirs(cnt_dir)
 
-    class CountingLinker(LinkerActor):
-        def __call__(self, batch):
-            out = super().__call__(batch)
-            self._rows = getattr(self, "_rows", 0) + batch.num_rows
-            with open(os.path.join(cnt_dir, f"{os.getpid()}.cnt"), "w") as f:
-                f.write(str(self._rows))
-            return out
+    class CountingLinker(LinkStage):
+        """One per ``per_block`` call: records the rows of its call."""
 
-    monkeypatch.setattr(kgmod, "LinkerActor", CountingLinker)
-    kgmod.run_kg_pipeline(data_dir, str(tmp_path / "work"), concurrency=2,
-                          link_batch_size=128, resume=False)
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._path = os.path.join(cnt_dir, f"{uuid.uuid4().hex}.cnt")
+            self._rows = 0
+
+        def __call__(self, batch):
+            self._rows += batch.num_rows
+            with open(self._path, "w") as f:
+                f.write(str(self._rows))
+            return super().__call__(batch)
+
+    monkeypatch.setattr(kgmod, "LinkStage", CountingLinker)
+    concurrency = 2
+    kgmod.run_kg_pipeline(data_dir, str(tmp_path / "work"),
+                          concurrency=concurrency, link_batch_size=128,
+                          resume=False)
 
     counts = [int(open(f).read())
               for f in glob.glob(os.path.join(cnt_dir, "*.cnt"))]
     assert sum(counts) >= n  # every turn carries >=1 mention by construction
-    assert len(counts) == 2, counts  # both pool actors actually participated
+    assert len(counts) == concurrency * 12, counts
     assert max(counts) <= 2.0 * min(counts), counts
 
 

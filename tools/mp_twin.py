@@ -3,12 +3,12 @@ attribution artifact.
 
 The bench's 8->32 CPU scaling efficiency lands ~0.5 on this single-socket
 host. This script demonstrates the ceiling is NOT Ray's: it runs the
-IDENTICAL fused task body (``MentionLinkTriplesStageTask``: one stage-state
-load per ``STREAM_BLOCK_ROWS``-turn block, then arrow prefilter + trie scan
-+ link + compact emit per 1,024-row slice) as plain ``multiprocessing``
-processes — no Ray, no object store, the pickled region state and corpus
-index built ONCE in the parent and inherited by fork — at the same two
-pool sizes as the bench anchors (6 procs / 20 procs). If
+IDENTICAL fused task body (``per_block(MentionLinkTriplesStage, ...)``:
+one stage-state load per ``STREAM_BLOCK_ROWS``-turn block, then arrow
+prefilter + trie scan + link + compact emit per 1,024-row slice) as plain
+``multiprocessing`` processes — no Ray, no object store, the pickled
+region state and corpus index built ONCE in the parent and inherited by
+fork — at the same two pool sizes as the bench anchors (6 procs / 20 procs). If
 per-process throughput collapses at 20 procs without Ray in the picture,
 the gap is single-socket memory-bus contention, which a real N->4N *node*
 cluster does not have (each node owns its memory bus).
@@ -39,12 +39,12 @@ def _worker(start: int, n_rows: int, q: mp.Queue) -> None:
     import pyarrow.parquet as pq
 
     from address_semantic_search_ray.pipelines.kg import STREAM_BLOCK_ROWS
-    from address_semantic_search_ray.stages.fused import MentionLinkTriplesStageTask
+    from address_semantic_search_ray.stages.fused import MentionLinkTriplesStage
+    from address_semantic_search_ray.stages.interpret import per_block
 
     try:
-        task = MentionLinkTriplesStageTask(_STATE["region_bytes"],
-                                           _STATE["index_payload"],
-                                           batch_size=1024)
+        task = per_block(MentionLinkTriplesStage, _STATE["region_bytes"],
+                         _STATE["index_payload"], batch_size=1024)
         tbl = pq.read_table(_STATE["transcripts"],
                             columns=["conv_id", "turn_idx", "role", "text"])
         # wrap the slice so every process sees real rows even when
