@@ -271,8 +271,10 @@ class ExplainLinker:
 
 def links_explain(data_dir: str, mentions_dir: str, top_n: int = 2,
                   region_dict_path: str | None = None,
-                  concurrency: int = 4):
+                  concurrency: int = 20):
     """Distributed explain-mode linking over the mentions checkpoint.
+    ``concurrency`` caps the task pool; its default is the fused stage's
+    measured saturation point (~20 tasks per socket, BASELINE.md).
 
     ONE broadcast index (the flat numpy payload, plasma-mapped zero-copy per
     node) drives both the per-district scan and the per-term MatchedTerm

@@ -203,28 +203,31 @@ SMALL_INDEX_OVERLAP_MAX_BYTES = 16 << 20
 BROADCAST_INDEX_MAX_BYTES = 4 << 30
 # read blocks per task slot of a region-state stage: enough tasks for the
 # pool to load-balance, few enough that per-task overhead stays small
-STREAM_BLOCKS_PER_ACTOR = 6
+STREAM_BLOCKS_PER_SLOT = 6
 # rows one read block should hold before the pool gets more blocks than
 # task slots: each block is one stage task (with one stage-state load, and
 # memos that span only that block) and, downstream, one sort map and reduce
 # task, one finalize task and one output file, so a small input pays those
-# once per slot instead of STREAM_BLOCKS_PER_ACTOR times
+# once per slot instead of STREAM_BLOCKS_PER_SLOT times
 STREAM_BLOCK_ROWS = 16_384
 
 
 def stream_read_blocks(rows: int, concurrency: int) -> int:
     """Read blocks of a region-state stage over ~``rows`` rows: one per
     ``STREAM_BLOCK_ROWS``, at least one per task slot, at most
-    ``STREAM_BLOCKS_PER_ACTOR`` per slot."""
-    return min(concurrency * STREAM_BLOCKS_PER_ACTOR,
+    ``STREAM_BLOCKS_PER_SLOT`` per slot."""
+    return min(concurrency * STREAM_BLOCKS_PER_SLOT,
                max(concurrency, -(-rows // STREAM_BLOCK_ROWS)))
 
 
-def _per_block_read(path: str, columns: list[str], concurrency: int):
-    """``path`` read in ``stream_read_blocks`` blocks, one stage build each."""
-    return rd.read_parquet(
-        path, columns=columns,
-        override_num_blocks=stream_read_blocks(footer_rows(path), concurrency))
+def _per_block_read(path: str, columns: list[str], concurrency: int,
+                    rows: int | None = None):
+    """``path`` read in ``stream_read_blocks`` blocks, one stage build each;
+    ``rows`` is its row count when the caller already holds it."""
+    if rows is None:
+        rows = footer_rows(path)
+    return rd.read_parquet(path, columns=columns,
+                           override_num_blocks=stream_read_blocks(rows, concurrency))
 
 
 def estimate_index_bytes(addresses_path: str) -> int:
@@ -475,12 +478,13 @@ def run_kg_streaming(
         return result
     index_ref = build_index_ref(addresses_path, region_ref, concurrency, batch_size)
 
+    n_turns = footer_rows(transcripts_path)
     triples_ds = (
-        _per_block_read(transcripts_path,
-                        ["conv_id", "turn_idx", "role", "text"], concurrency)
+        _per_block_read(transcripts_path, ["conv_id", "turn_idx", "role", "text"],
+                        concurrency, rows=n_turns)
         .map_batches(
             per_block(MentionLinkTriplesStage, region_ref, index_ref, top_n,
-                      group_count(footer_rows(transcripts_path)),
+                      group_count(n_turns),
                       batch_size=batch_size),
             batch_format="pyarrow", batch_size=None, concurrency=concurrency,
         )

@@ -2867,6 +2867,7 @@ def town_mining(sf_dir: str):
     from ..data.synth import ensure_dataset
     from ..stages.interpret import put_region_table
     from .extras import mine_towns
+    from .kg import _per_block_read
     from .oracle import default_region_dict_path
 
     data_dir = ensure_dataset(_sf_of(sf_dir), root=SYNTH_ROOT)
@@ -2876,8 +2877,9 @@ def town_mining(sf_dir: str):
 
         naive.write_town_mining(data_dir, out_dir)
     region_ref = put_region_table(default_region_dict_path())
-    texts = rd.read_parquet(os.path.join(data_dir, "addresses.parquet"), columns=["text"])
-    return mine_towns(texts.repartition(8), region_ref, concurrency=4)
+    # one read block, so one region load, per task slot
+    texts = _per_block_read(os.path.join(data_dir, "addresses.parquet"), ["text"], 4)
+    return mine_towns(texts, region_ref, concurrency=4)
 
 
 def regression_harness(sf_dir: str):

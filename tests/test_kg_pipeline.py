@@ -344,18 +344,19 @@ def test_streaming_mode_matches_checkpointed(ray_session, tiny_data, tmp_path_fa
 
 
 def test_stream_read_blocks_follow_input_rows():
-    """A small input reads one block per actor, so the sort and finalize
-    behind the fused stage run one task each instead of six; a large one
-    keeps STREAM_BLOCKS_PER_ACTOR blocks per actor to balance the pool."""
+    """A small input reads one block per task slot, so the sort and
+    finalize behind the fused stage run one task each instead of six; a
+    large one keeps STREAM_BLOCKS_PER_SLOT blocks per slot to balance the
+    pool."""
     from address_semantic_search_ray.pipelines.kg import (
-        STREAM_BLOCK_ROWS, STREAM_BLOCKS_PER_ACTOR, stream_read_blocks,
+        STREAM_BLOCK_ROWS, STREAM_BLOCKS_PER_SLOT, stream_read_blocks,
     )
 
     assert stream_read_blocks(0, 1) == 1
     assert stream_read_blocks(10_000, 1) == 1
     assert stream_read_blocks(10_000, 4) == 4
     assert stream_read_blocks(3 * STREAM_BLOCK_ROWS, 1) == 3
-    assert stream_read_blocks(10**12, 4) == 4 * STREAM_BLOCKS_PER_ACTOR
+    assert stream_read_blocks(10**12, 4) == 4 * STREAM_BLOCKS_PER_SLOT
 
 
 def test_streaming_triples_invariant_under_block_layout(ray_session, tiny_data,
